@@ -97,99 +97,69 @@ def _subset_label(P: VertexColoredPoset, mask: int) -> str:
     return ".".join(P.vertices[i] for i in _bits(mask))
 
 
-def _cover_down_masks(P: VertexColoredPoset) -> list[int]:
-    out = []
-    for v in P.vertices:
-        m = 0
-        for w in P.descendants(v):
-            m |= 1 << P.index_of(w)
-        out.append(m)
-    return out
-
-
-def _cover_up_masks(P: VertexColoredPoset) -> list[int]:
-    out = []
-    for v in P.vertices:
-        m = 0
-        for w in P.ancestors(v):
-            m |= 1 << P.index_of(w)
-        out.append(m)
-    return out
-
-
 def enumerate_ideal_masks(P: VertexColoredPoset, cap: int = DEFAULT_ELEMENT_CAP) -> list[int]:
     """All order ideals of P as bitmasks, ascending.
 
-    Depth-first extension along a linear extension; a vertex may enter only
-    once its lower covers are present.
+    Extends the ideals of a growing prefix of a linear extension; a vertex
+    may enter only once its lower covers are present.  The family never
+    shrinks, so the extension stops as soon as it passes the cap.
     """
-    n = len(P)
-    order = list(P._at)  # topological ids
-    down = _cover_down_masks(P)
-    out: list[int] = []
-
-    def rec(k: int, cur: int):
-        if k == n:
-            if len(out) >= cap:
-                raise SizeCapExceeded(f"ideal count exceeds cap {cap}")
-            out.append(cur)
-            return
-        v = order[k]
-        rec(k + 1, cur)
-        if down[v] & cur == down[v]:
-            rec(k + 1, cur | (1 << v))
-
-    rec(0, 0)
+    down, _ = P._cover_masks()
+    out = [0]
+    for v in P._at:  # topological ids
+        if len(out) > cap:
+            break
+        need, bit = down[v], 1 << v
+        out += [m | bit for m in out if m & need == need]
+    if len(out) > cap:
+        raise SizeCapExceeded(f"ideal count exceeds cap {cap}")
     out.sort()
     return out
 
 
-def build_J(P: VertexColoredPoset, cap: int = DEFAULT_ELEMENT_CAP, verify: bool | None = None) -> IdealLattice:
+def _subset_lattice(P: VertexColoredPoset, mode: str, cap: int) -> IdealLattice:
+    """Ideal (mode "ideal") or filter (mode "filter") lattice of P.
+
+    A filter is the complement of an ideal, so both families step upward by
+    adding a vertex to the ideal side whose lower covers are already there:
+    the ideal grows by it, the filter loses it.
+    """
+    flip = 0 if mode == "ideal" else (1 << len(P)) - 1
+    masks = sorted(m ^ flip for m in enumerate_ideal_masks(P, cap))
+    labels = _unique_labels([_subset_label(P, m) for m in masks])
+    label_of = dict(zip(masks, labels))
+    down, _ = P._cover_masks()
+    covers = []
+    for m in masks:
+        lab = label_of[m]
+        ideal = m ^ flip
+        for i, v in enumerate(P.vertices):
+            if not (ideal >> i) & 1 and down[i] & ideal == down[i]:
+                covers.append((lab, label_of[m ^ (1 << i)], P.colors[v]))
+    out = IdealLattice(P, mode, masks, EdgeColoredPoset(labels, covers))
+    if len(masks) <= VERIFY_SIZE_LIMIT:
+        _verify_subset_lattice(out)
+    return out
+
+
+def build_J(P: VertexColoredPoset, cap: int = DEFAULT_ELEMENT_CAP) -> IdealLattice:
     """The diamond-colored distributive lattice of order ideals of P.
 
     Ideals are ordered by containment; x -> y exactly when y adds one
     vertex, maximal in y, and the edge takes that vertex's color.
+    Postconditions are checked up to ``VERIFY_SIZE_LIMIT`` elements.
     """
-    masks = enumerate_ideal_masks(P, cap)
-    labels = _unique_labels([_subset_label(P, m) for m in masks])
-    label_of = dict(zip(masks, labels))
-    down = _cover_down_masks(P)
-    covers = []
-    for m in masks:
-        lab = label_of[m]
-        for i, v in enumerate(P.vertices):
-            if not (m >> i) & 1 and down[i] & m == down[i]:
-                covers.append((lab, label_of[m | (1 << i)], P.colors[v]))
-    lattice = EdgeColoredPoset(labels, covers)
-    out = IdealLattice(P, "ideal", masks, lattice)
-    if verify or (verify is None and len(masks) <= VERIFY_SIZE_LIMIT):
-        _verify_subset_lattice(out)
-    return out
+    return _subset_lattice(P, "ideal", cap)
 
 
-def build_M(P: VertexColoredPoset, cap: int = DEFAULT_ELEMENT_CAP, verify: bool | None = None) -> IdealLattice:
+def build_M(P: VertexColoredPoset, cap: int = DEFAULT_ELEMENT_CAP) -> IdealLattice:
     """The diamond-colored distributive lattice of filters of P.
 
     Filters are ordered by reverse containment; x -> y exactly when x drops
     one of its minimal vertices, and the edge takes that vertex's color.
+    Postconditions are checked up to ``VERIFY_SIZE_LIMIT`` elements.
     """
-    full = (1 << len(P)) - 1
-    masks = sorted(full ^ m for m in enumerate_ideal_masks(P, cap))
-    labels = _unique_labels([_subset_label(P, m) for m in masks])
-    label_of = dict(zip(masks, labels))
-    down = _cover_down_masks(P)
-    covers = []
-    for m in masks:
-        lab = label_of[m]
-        for i, v in enumerate(P.vertices):
-            # v minimal in the filter m: nothing of m strictly below it
-            if (m >> i) & 1 and down[i] & m == 0:
-                covers.append((lab, label_of[m ^ (1 << i)], P.colors[v]))
-    lattice = EdgeColoredPoset(labels, covers)
-    out = IdealLattice(P, "filter", masks, lattice)
-    if verify or (verify is None and len(masks) <= VERIFY_SIZE_LIMIT):
-        _verify_subset_lattice(out)
-    return out
+    return _subset_lattice(P, "filter", cap)
 
 
 def _verify_subset_lattice(il: IdealLattice) -> None:
@@ -266,40 +236,30 @@ def _coerce_view(L) -> LatticeView:
     return as_lattice(L)
 
 
-def extract_j(L) -> IrreduciblePoset:
-    """Poset of elements covering exactly one element, colored by that edge."""
+def _extract(L, side: str) -> IrreduciblePoset:
+    """Irreducibles of one side ("join" or "meet"), colored by their single cover edge."""
     view = _coerce_view(L)
     _require_dcdl(view)
     p = view.poset
-    irr = view.join_irreducibles()
+    irr = view.join_irreducibles() if side == "join" else view.meet_irreducibles()
     if len(irr) != view.length:
         raise NotDistributive(
-            f"{len(irr)} join irreducibles for length {view.length}; lattice cannot be distributive"
+            f"{len(irr)} {side} irreducibles for length {view.length}; lattice cannot be distributive"
         )
-    colors = {}
-    for x in irr:
-        (below,) = p.descendants(x)
-        colors[x] = p.edge_color(below, x)
+    steps = p.down_steps if side == "join" else p.up_steps
+    colors = {x: steps(x)[0][1] for x in irr}
     covers = p.induced_cover_pairs(irr)
-    return IrreduciblePoset(VertexColoredPoset(irr, covers, colors), "join")
+    return IrreduciblePoset(VertexColoredPoset(irr, covers, colors), side)
+
+
+def extract_j(L) -> IrreduciblePoset:
+    """Poset of elements covering exactly one element, colored by that edge."""
+    return _extract(L, "join")
 
 
 def extract_m(L) -> IrreduciblePoset:
     """Poset of elements covered by exactly one element, colored by that edge."""
-    view = _coerce_view(L)
-    _require_dcdl(view)
-    p = view.poset
-    irr = view.meet_irreducibles()
-    if len(irr) != view.length:
-        raise NotDistributive(
-            f"{len(irr)} meet irreducibles for length {view.length}; lattice cannot be distributive"
-        )
-    colors = {}
-    for x in irr:
-        (above,) = p.ancestors(x)
-        colors[x] = p.edge_color(x, above)
-    covers = p.induced_cover_pairs(irr)
-    return IrreduciblePoset(VertexColoredPoset(irr, covers, colors), "meet")
+    return _extract(L, "meet")
 
 
 def cover_color_profile(il: IdealLattice, x: str) -> tuple[tuple[Color, ...], tuple[Color, ...]]:
@@ -311,18 +271,13 @@ def cover_color_profile(il: IdealLattice, x: str) -> tuple[tuple[Color, ...], tu
     """
     P = il.source
     m = il.mask_of_label[x] if x in il.mask_of_label else il.mask_of_label[il.label_for([x])]
-    down = _cover_down_masks(P)
-    up = _cover_up_masks(P)
-    if il.mode == "ideal":
-        # edges below an ideal drop one of its maximal vertices; edges above add
-        removable = [i for i in _bits(m) if up[i] & m == 0]
-        addable = [i for i in range(len(P)) if not (m >> i) & 1 and down[i] & m == down[i]]
-        down_ids, up_ids = removable, addable
-    else:
-        # edges above a filter drop one of its minimal vertices; edges below add
-        removable = [i for i in _bits(m) if down[i] & m == 0]
-        addable = [i for i in range(len(P)) if not (m >> i) & 1 and up[i] & m == up[i]]
-        down_ids, up_ids = addable, removable
+    down, up = P._cover_masks()
+    # an ideal drops a maximal vertex going down and adds one going up; a
+    # filter drops a minimal vertex going up and adds one going down
+    inner, outer = (down, up) if il.mode == "ideal" else (up, down)
+    removable = [i for i in _bits(m) if outer[i] & m == 0]
+    addable = [i for i in range(len(P)) if not (m >> i) & 1 and inner[i] & m == inner[i]]
+    down_ids, up_ids = (removable, addable) if il.mode == "ideal" else (addable, removable)
     down_colors = tuple(sorted(P.colors[P.vertices[i]] for i in down_ids))
     up_colors = tuple(sorted(P.colors[P.vertices[i]] for i in up_ids))
     lab = il.label_of_mask[m]
@@ -460,47 +415,42 @@ class IntervalBooleanResult:
         return self.contains_set and self.matches and self.boolean
 
 
+def _interval_boolean(L, t: str, S: Sequence[str], side: str) -> IntervalBooleanResult:
+    """[meet(S), t] for descendants S of t, or [t, join(S)] for ancestors."""
+    view = _coerce_view(L)
+    _require_dcdl(view)
+    p = view.poset
+    S = list(dict.fromkeys(S))
+    if not S:
+        raise InvalidDescendantSet(f"need at least one {side}")
+    below = side == "descendant"
+    near = set(p.descendants(t) if below else p.ancestors(t))
+    bad = [s for s in S if s not in near]
+    if bad:
+        raise InvalidDescendantSet(f"{bad} are not {side}s of {t!r}")
+    colors = {s: p.edge_color(s, t) if below else p.edge_color(t, s) for s in S}
+    antichain = VertexColoredPoset(sorted(S, key=p.index_of), [], colors)
+    if below:
+        bound = view.meet_all(S)
+        inner, subset_lattice = view.interval(bound, t), build_M(antichain)
+    else:
+        bound = view.join_all(S)
+        inner, subset_lattice = view.interval(t, bound), build_J(antichain)
+    matches = find_isomorphism(inner, subset_lattice.lattice) is not None
+    contains = set(S) <= set(inner.vertices)
+    boolean = is_boolean(as_lattice(inner))
+    return IntervalBooleanResult(bound, contains, matches, boolean)
+
+
 def descendant_interval_boolean(L, t: str, D: Sequence[str]) -> IntervalBooleanResult:
     """For a set D of descendants of t: [meet(D), t] is the filter lattice of D.
 
     D is treated as an antichain colored by the edge into t.  The interval
     matches exactly at the meet of D; it is a Boolean lattice there.
     """
-    view = _coerce_view(L)
-    _require_dcdl(view)
-    D = list(dict.fromkeys(D))
-    if not D:
-        raise InvalidDescendantSet("need at least one descendant")
-    desc = set(view.poset.descendants(t))
-    bad = [s for s in D if s not in desc]
-    if bad:
-        raise InvalidDescendantSet(f"{bad} are not descendants of {t!r}")
-    colors = {s: view.poset.edge_color(s, t) for s in D}
-    antichain = VertexColoredPoset(sorted(D, key=view.poset.index_of), [], colors)
-    r = view.meet_all(D)
-    inner = view.interval(r, t)
-    matches = find_isomorphism(inner, build_M(antichain).lattice) is not None
-    contains = all(s in set(inner.vertices) for s in D)
-    boolean = is_boolean(as_lattice(inner))
-    return IntervalBooleanResult(r, contains, matches, boolean)
+    return _interval_boolean(L, t, D, "descendant")
 
 
 def ancestor_interval_boolean(L, t: str, A: Sequence[str]) -> IntervalBooleanResult:
     """Dual form: [t, join(A)] is the ideal lattice of the ancestor set A."""
-    view = _coerce_view(L)
-    _require_dcdl(view)
-    A = list(dict.fromkeys(A))
-    if not A:
-        raise InvalidDescendantSet("need at least one ancestor")
-    anc = set(view.poset.ancestors(t))
-    bad = [s for s in A if s not in anc]
-    if bad:
-        raise InvalidDescendantSet(f"{bad} are not ancestors of {t!r}")
-    colors = {s: view.poset.edge_color(t, s) for s in A}
-    antichain = VertexColoredPoset(sorted(A, key=view.poset.index_of), [], colors)
-    u = view.join_all(A)
-    inner = view.interval(t, u)
-    matches = find_isomorphism(inner, build_J(antichain).lattice) is not None
-    contains = all(s in set(inner.vertices) for s in A)
-    boolean = is_boolean(as_lattice(inner))
-    return IntervalBooleanResult(u, contains, matches, boolean)
+    return _interval_boolean(L, t, A, "ancestor")

@@ -225,41 +225,15 @@ class VeeWitness(NamedTuple):
 
 def check_topographically_balanced(p: _HasseCore) -> CheckResult:
     """Every non-chain length-two mountain is balanced by a unique valley, and dually."""
-    n = len(p)
-    ups = [set(p._up_adj[i]) for i in range(n)]
-    downs = [set(p._down_adj[i]) for i in range(n)]
-    for i in range(n):
-        nbrs = sorted(ups[i])
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                closers = len(ups[nbrs[a]] & ups[nbrs[b]])
-                if closers != 1:
-                    return CheckResult(
-                        False,
-                        VeeWitness(
-                            "open-up",
-                            p.vertices[i],
-                            p.vertices[nbrs[a]],
-                            p.vertices[nbrs[b]],
-                            closers,
-                        ),
-                    )
-    for i in range(n):
-        nbrs = sorted(downs[i])
-        for a in range(len(nbrs)):
-            for b in range(a + 1, len(nbrs)):
-                closers = len(downs[nbrs[a]] & downs[nbrs[b]])
-                if closers != 1:
-                    return CheckResult(
-                        False,
-                        VeeWitness(
-                            "open-down",
-                            p.vertices[i],
-                            p.vertices[nbrs[a]],
-                            p.vertices[nbrs[b]],
-                            closers,
-                        ),
-                    )
+    for kind, adj in (("open-up", p._up_adj), ("open-down", p._down_adj)):
+        near = [set(a) for a in adj]
+        for i, nbrs in enumerate(adj):  # adjacency lists are sorted by id
+            for a in range(len(nbrs)):
+                for b in range(a + 1, len(nbrs)):
+                    closers = len(near[nbrs[a]] & near[nbrs[b]])
+                    if closers != 1:
+                        v = p.vertices
+                        return CheckResult(False, VeeWitness(kind, v[i], v[nbrs[a]], v[nbrs[b]], closers))
     return CheckResult(True, None)
 
 

@@ -166,12 +166,15 @@ class _HasseCore:
 
     # -- connectivity ----------------------------------------------------
 
-    def induced_cover_pairs(self, labels: Iterable[str]) -> list[tuple[str, str]]:
-        """Cover pairs of the subposet on ``labels`` in the induced order.
+    def _cover_masks(self) -> tuple[list[int], list[int]]:
+        """Per vertex id, the masks over vertex ids of its lower and of its upper covers."""
+        return (
+            [sum(1 << j for j in adj) for adj in self._down_adj],
+            [sum(1 << j for j in adj) for adj in self._up_adj],
+        )
 
-        Unlike ``induced`` on edge-colored posets, a returned cover need not
-        be an edge of the parent.
-        """
+    def _induced_ids(self, labels: Iterable[str]) -> tuple[list[int], list[tuple[int, int]]]:
+        """Sorted ids of ``labels`` and the id pairs that are covers in the induced order."""
         ids = sorted(self.index_of(v) for v in set(labels))
         sub_mask = 0
         for i in ids:
@@ -183,8 +186,17 @@ class _HasseCore:
                     continue
                 between = self._up[a] & self._down[b] & sub_mask
                 if between == (1 << self._pos[a]) | (1 << self._pos[b]):
-                    pairs.append((self.vertices[a], self.vertices[b]))
-        return pairs
+                    pairs.append((a, b))
+        return ids, pairs
+
+    def induced_cover_pairs(self, labels: Iterable[str]) -> list[tuple[str, str]]:
+        """Cover pairs of the subposet on ``labels`` in the induced order.
+
+        Unlike ``induced`` on edge-colored posets, a returned cover need not
+        be an edge of the parent.
+        """
+        _, pairs = self._induced_ids(labels)
+        return [(self.vertices[a], self.vertices[b]) for a, b in pairs]
 
     def connected_components(self) -> tuple[tuple[str, ...], ...]:
         """Components of the underlying undirected Hasse graph, by min id."""
@@ -255,19 +267,9 @@ class VertexColoredPoset(_HasseCore):
 
     def induced(self, labels: Iterable[str]) -> "VertexColoredPoset":
         """Subposet on the given vertices in the induced order."""
-        ids = sorted(self.index_of(v) for v in set(labels))
+        ids, pairs = self._induced_ids(labels)
         keep = [self.vertices[i] for i in ids]
-        sub_mask = 0
-        for i in ids:
-            sub_mask |= 1 << self._pos[i]
-        covers = []
-        for a in ids:
-            for b in ids:
-                if a == b or not (self._down[b] >> self._pos[a] & 1):
-                    continue
-                between = self._up[a] & self._down[b] & sub_mask
-                if between == (1 << self._pos[a]) | (1 << self._pos[b]):
-                    covers.append((self.vertices[a], self.vertices[b]))
+        covers = [(self.vertices[a], self.vertices[b]) for a, b in pairs]
         return VertexColoredPoset(keep, covers, {v: self.colors[v] for v in keep})
 
     def relabel(self, mapping: Mapping[str, str]) -> "VertexColoredPoset":
@@ -357,25 +359,16 @@ class EdgeColoredPoset(_HasseCore):
         Every induced cover must already be an edge of the parent (otherwise
         it would have no color); violations raise ValidationError.
         """
-        ids = sorted(self.index_of(v) for v in set(labels))
-        keep = [self.vertices[i] for i in ids]
-        sub_mask = 0
-        for i in ids:
-            sub_mask |= 1 << self._pos[i]
+        ids, pairs = self._induced_ids(labels)
         covers = []
-        for a in ids:
-            for b in ids:
-                if a == b or not (self._down[b] >> self._pos[a] & 1):
-                    continue
-                between = self._up[a] & self._down[b] & sub_mask
-                if between == (1 << self._pos[a]) | (1 << self._pos[b]):
-                    if (a, b) not in self._edge_color:
-                        raise ValidationError(
-                            f"induced cover {self.vertices[a]!r} -> {self.vertices[b]!r} "
-                            "is not an edge of the parent, so it has no color"
-                        )
-                    covers.append((self.vertices[a], self.vertices[b], self._edge_color[(a, b)]))
-        return EdgeColoredPoset(keep, covers)
+        for a, b in pairs:
+            if (a, b) not in self._edge_color:
+                raise ValidationError(
+                    f"induced cover {self.vertices[a]!r} -> {self.vertices[b]!r} "
+                    "is not an edge of the parent, so it has no color"
+                )
+            covers.append((self.vertices[a], self.vertices[b], self._edge_color[(a, b)]))
+        return EdgeColoredPoset([self.vertices[i] for i in ids], covers)
 
     def relabel(self, mapping: Mapping[str, str]) -> "EdgeColoredPoset":
         return EdgeColoredPoset(

@@ -18,8 +18,6 @@ from .birkhoff import (
     build_J,
     enumerate_ideal_masks,
     extract_j,
-    _cover_down_masks,
-    _cover_up_masks,
 )
 from .errors import (
     EnumerationCapExceeded,
@@ -508,8 +506,7 @@ def subordinate_of(il: IdealLattice, t, colors: Iterable[int]) -> JSubordinate:
     else:
         t_label = il.label_for(t if not isinstance(t, str) else [t])
     t_mask = il.mask_of_label[t_label]
-    down = _cover_down_masks(P)
-    up = _cover_up_masks(P)
+    down, up = P._cover_masks()
     color_of = [P.colors[v] for v in P.vertices]
 
     r_mask = t_mask
@@ -590,8 +587,7 @@ def subordinates_by_definition(
         raise EnumerationCapExceeded(f"definition search is capped at {cap} vertices")
     J = frozenset(colors)
     n = len(P)
-    down = _cover_down_masks(P)
-    up = _cover_up_masks(P)
+    down, up = P._cover_masks()
     color_of = [P.colors[v] for v in P.vertices]
     found: set[frozenset[str]] = set()
     for r_mask in enumerate_ideal_masks(P):

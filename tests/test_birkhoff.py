@@ -31,6 +31,7 @@ from dclat import (
     verify_fundamental_poset,
     verify_transform_identities,
 )
+from dclat.birkhoff import enumerate_ideal_masks
 from dclat.structures import EdgeColoredPoset
 from _oracles import count_ideals
 
@@ -89,6 +90,17 @@ class TestBuildJ:
             il = build_J(P)
             assert len(il) == count_ideals(P.vertices, [(a, b) for a, b in P.covers])
 
+    def test_ideal_masks_match_subset_scan(self):
+        for P in random_vertex_posets(40, 8, seed=11):
+            down = [
+                sum(1 << P.index_of(w) for w in P.down_set(v)) for v in P.vertices
+            ]
+            closed = [
+                m for m in range(1 << len(P))
+                if all(down[i] & m == down[i] for i in range(len(P)) if m >> i & 1)
+            ]
+            assert enumerate_ideal_masks(P) == closed
+
     def test_label_collisions_are_deduplicated(self):
         # a vertex literally named like the empty-ideal label
         p = VertexColoredPoset(["empty"], [], {"empty": 1})
@@ -137,22 +149,26 @@ class TestExtract:
         assert len(jp.poset) == 4 and not jp.poset.covers
 
     def test_fig_lattice_recovers_fig_poset(self, fig_poset, fig_lattice):
-        assert isomorphic(extract_j(fig_lattice).poset, fig_poset)
+        jp = extract_j(fig_lattice)
+        assert isomorphic(jp.poset, fig_poset) and jp.provenance == "join"
 
     def test_meet_side_recovers_fig_poset(self, fig_poset, fig_lattice):
-        assert isomorphic(extract_m(fig_lattice).poset, fig_poset)
+        mp = extract_m(fig_lattice)
+        assert isomorphic(mp.poset, fig_poset) and mp.provenance == "meet"
 
     def test_m3_rejected(self):
-        with pytest.raises(NotDistributive):
-            extract_j(m3())
+        for extract in (extract_j, extract_m):
+            with pytest.raises(NotDistributive):
+                extract(m3())
 
     def test_mismatched_diamond_rejected(self):
         p = EdgeColoredPoset(
             ["bot", "x", "y", "top"],
             [("bot", "x", 1), ("bot", "y", 2), ("x", "top", 1), ("y", "top", 2)],
         )
-        with pytest.raises(NotDiamondColored):
-            extract_j(p)
+        for extract in (extract_j, extract_m):
+            with pytest.raises(NotDiamondColored):
+                extract(p)
 
     def test_join_irreducibles_are_principal_ideals(self, fig_poset):
         il = build_J(fig_poset)
@@ -295,6 +311,10 @@ class TestIntervalBoolean:
             descendant_interval_boolean(fig_view, "v2.v5", [])
         with pytest.raises(InvalidDescendantSet):
             descendant_interval_boolean(fig_view, "v2.v5", ["v4.v5"])
+        with pytest.raises(InvalidDescendantSet, match="need at least one ancestor"):
+            ancestor_interval_boolean(fig_view, "v2.v5", [])
+        with pytest.raises(InvalidDescendantSet, match=r"\['v5'\] are not ancestors of 'v2.v5'"):
+            ancestor_interval_boolean(fig_view, "v2.v5", ["v2.v4.v5", "v5"])
 
     def test_nondistributive_rejected(self):
         with pytest.raises(NotDistributive):

@@ -75,6 +75,15 @@ class TestCommands:
         poset = parse(out)
         assert dclat.isomorphic(poset, fig_poset)
 
+    def test_birkhoff_long_chain(self, capsys, tmp_path):
+        # ideal enumeration must not recurse once per vertex
+        _, text, _ = run(capsys, "gen", "--kind", "chain", "-n", "1100")
+        chain = tmp_path / "chain.dcp"
+        chain.write_text(text)
+        code, out, _ = run(capsys, "birkhoff", str(chain), "--op", "J")
+        assert code == 0
+        assert sum(line.startswith("vertex ") for line in out.splitlines()) == 1102
+
     def test_birkhoff_kind_mismatch(self, capsys, data_dir):
         code, _, err = run(capsys, "birkhoff", str(data_dir / "fig1L.dcp"), "--op", "J")
         assert code == 2
@@ -187,6 +196,29 @@ class TestDeterminism:
         out2 = capsys.readouterr().out
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class TestGoldenOutput:
+    """Stdout recorded before the dual-pair bodies were merged; it must stay byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv,golden,exit_code",
+        [
+            (["birkhoff", "fig1P.dcp", "--op", "J"], "birkhoff-J-fig1P.out", 0),
+            (["birkhoff", "fig1P.dcp", "--op", "M"], "birkhoff-M-fig1P.out", 0),
+            (["birkhoff", "fig5P1.dcp", "--op", "J"], "birkhoff-J-fig5P1.out", 0),
+            (["birkhoff", "fig5P1.dcp", "--op", "M"], "birkhoff-M-fig5P1.out", 0),
+            (["birkhoff", "fig1L.dcp", "--op", "j"], "birkhoff-j-fig1L.out", 0),
+            (["birkhoff", "fig1L.dcp", "--op", "m"], "birkhoff-m-fig1L.out", 0),
+            (["check", "n5.dcp", "--prop", "balanced"], "check-balanced-n5.out", 1),
+            (["check", "m3.dcp", "--prop", "balanced"], "check-balanced-m3.out", 0),
+        ],
+    )
+    def test_matches_golden(self, capsys, data_dir, argv, golden, exit_code):
+        argv = [argv[0], str(data_dir / argv[1])] + argv[2:]
+        code, out, _ = run(capsys, *argv)
+        assert code == exit_code
+        assert out == (data_dir / "golden" / golden).read_text(encoding="utf-8")
 
 
 class TestCoverageTable:

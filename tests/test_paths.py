@@ -151,9 +151,12 @@ class TestBalance:
         assert check_topographically_balanced(boolean_lattice(2)).ok
 
     def test_open_vee_fails(self):
-        p = EdgeColoredPoset(["r", "s", "t"], [("r", "s", 1), ("r", "t", 1)])
-        res = check_topographically_balanced(p)
-        assert not res.ok and res.witness.kind == "open-up" and res.witness.closers == 0
+        upward = [("r", "s", 1), ("r", "t", 1)]
+        downward = [("s", "r", 1), ("t", "r", 1)]
+        for covers, kind in ((upward, "open-up"), (downward, "open-down")):
+            res = check_topographically_balanced(EdgeColoredPoset(["r", "s", "t"], covers))
+            assert not res.ok and res.witness.kind == kind and res.witness.closers == 0
+            assert (res.witness.base, res.witness.left, res.witness.right) == ("r", "s", "t")
 
     def test_corpus_balance_iff_modular(self):
         for L in random_modular_lattices(12, 48, seed=4) + [n5(), hexagon()]:
