@@ -315,14 +315,15 @@ def verify_fundamental_poset(P: VertexColoredPoset) -> Report:
     """Both poset-side roundtrips, plus the principal-ideal and profile checks."""
     report = Report("poset roundtrips through subset lattices")
     jl = build_J(P)
-    wit_j = find_isomorphism(P, extract_j(jl).poset)
+    jv = as_lattice(jl.lattice)
+    wit_j = find_isomorphism(P, extract_j(jv).poset)
     report.record("poset recovered from its ideal lattice", wit_j is not None)
     ml = build_M(P)
     wit_m = find_isomorphism(P, extract_m(ml).poset)
     report.record("poset recovered from its filter lattice", wit_m is not None)
     # join irreducibles of the ideal lattice are exactly the principal ideals
     principal = {frozenset(principal_ideal(P, v)) for v in P.vertices}
-    irreducible = {jl.members(x) for x in as_lattice(jl.lattice).join_irreducibles()}
+    irreducible = {jl.members(x) for x in jv.join_irreducibles()}
     report.record("join irreducibles are the principal ideals", principal == irreducible)
     profile_ok = True
     try:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the command succeeds and any checked property holds,
 1 when a checked property fails (witness on stdout), 2 for usage, parse,
-or validation errors (diagnostics on stderr).
+or validation errors and for input over a size or enumeration cap
+(diagnostics on stderr).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import sys
 
 from . import birkhoff, dcp, generators, lattice, paths, substructure
-from .errors import DclatError, ParseError, ValidationError
+from .errors import DclatError, EnumerationCapExceeded, ParseError, SizeCapExceeded, ValidationError
 from .structures import (
     EdgeColoredPoset,
     VertexColoredPoset,
@@ -562,7 +563,7 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, ValidationError) as e:
+    except (ParseError, ValidationError, SizeCapExceeded, EnumerationCapExceeded) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

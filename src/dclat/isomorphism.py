@@ -9,8 +9,6 @@ desk scale.
 
 from __future__ import annotations
 
-import sys
-
 from .errors import ValidationError
 from .structures import EdgeColoredPoset, Structure, VertexColoredPoset
 
@@ -163,30 +161,28 @@ def find_isomorphism(a: Structure, b: Structure) -> dict[str, str] | None:
         for other, old in trail.pop():
             live[other] = old
 
-    def search() -> bool:
-        i = pick()
-        if i == -1:
-            return True
-        for j in sorted(live[i] - used):
-            if not consistent(i, j):
-                continue
-            mapping[i] = j
-            used.add(j)
-            if prune(i, j) and search():
-                return True
+    # depth-first search; a frame holds a vertex and its untried candidates
+    i = pick()
+    stack = [(i, iter(sorted(live[i] - used)))]
+    while stack:
+        i, candidates = stack[-1]
+        if mapping[i] != -1:  # the candidate tried last led nowhere
             undo()
-            used.discard(j)
+            used.discard(mapping[i])
             mapping[i] = -1
-        return False
-
-    limit = sys.getrecursionlimit()
-    if n + 100 > limit:
-        sys.setrecursionlimit(n + 200)
-    try:
-        if not search():
-            return None
-    finally:
-        sys.setrecursionlimit(limit)
+        j = next((j for j in candidates if consistent(i, j)), -1)
+        if j == -1:
+            stack.pop()
+            continue
+        mapping[i] = j
+        used.add(j)
+        if prune(i, j):
+            i = pick()
+            if i == -1:
+                break
+            stack.append((i, iter(sorted(live[i] - used))))
+    else:
+        return None
 
     witness = {a.vertices[i]: b.vertices[mapping[i]] for i in range(n)}
     if not _verify_witness(a, b, witness):

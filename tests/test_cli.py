@@ -42,6 +42,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "parse", str(tmp_path / "absent.dcp"))
         assert code == 2
 
+    def test_input_over_cap_is_2(self, capsys, tmp_path):
+        antichain = tmp_path / "a.dcp"
+        _, text, _ = run(capsys, "gen", "--kind", "antichain", "-n", "21")
+        antichain.write_text(text)
+        code, out, err = run(capsys, "birkhoff", str(antichain), "--op", "J")
+        assert code == 2 and out == "" and "exceeds cap" in err
+
 
 class TestCommands:
     def test_parse_emits_canonical(self, capsys, data_dir):
@@ -199,7 +206,7 @@ class TestDeterminism:
 
 
 class TestGoldenOutput:
-    """Stdout recorded before the dual-pair bodies were merged; it must stay byte for byte."""
+    """Stdout recorded before refactors of the code behind each command; it must stay byte for byte."""
 
     @pytest.mark.parametrize(
         "argv,golden,exit_code",
@@ -212,6 +219,11 @@ class TestGoldenOutput:
             (["birkhoff", "fig1L.dcp", "--op", "m"], "birkhoff-m-fig1L.out", 0),
             (["check", "n5.dcp", "--prop", "balanced"], "check-balanced-n5.out", 1),
             (["check", "m3.dcp", "--prop", "balanced"], "check-balanced-m3.out", 0),
+            (["components", "fig1L.dcp", "--colors", "2"], "components-2-fig1L.out", 0),
+            (["subordinates", "fig1P.dcp", "--colors", "1,2"], "subordinates-12-fig1P.out", 0),
+            (["verify", "fig1P.dcp", "--theorem", "subord"], "verify-subord-fig1P.out", 0),
+            (["verify", "fig1L.dcp", "--theorem", "prop13"], "verify-prop13-fig1L.out", 0),
+            (["verify", "m3.dcp", "--theorem", "prop10"], "verify-prop10-m3.out", 0),
         ],
     )
     def test_matches_golden(self, capsys, data_dir, argv, golden, exit_code):

@@ -10,6 +10,7 @@ from corpus import m3, n5, random_vertex_posets
 from dclat import (
     EdgeColoredPoset,
     ValidationError,
+    VertexColoredPoset,
     boolean_lattice,
     find_isomorphism,
     isomorphic,
@@ -52,6 +53,39 @@ def test_empty_structures():
 
 def test_m3_not_n5():
     assert not isomorphic(m3(), n5())
+
+
+def test_deep_search_leaves_recursion_limit(monkeypatch):
+    import sys
+
+    def refuse(limit):
+        raise AssertionError("find_isomorphism changed the recursion limit")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    names = [f"x{i}" for i in range(1000)]
+    a = VertexColoredPoset(names, [], {v: 1 for v in names})
+    b = a.relabel({v: f"y{i}" for i, v in enumerate(reversed(names))})
+    assert isomorphic(a, b)
+
+
+def _crowns(sizes, tag):
+    """Disjoint crowns: upper vertex i covers lower vertices i and i+1 (mod k)."""
+    verts, covers = [], []
+    for c, k in enumerate(sizes):
+        lo = [f"{tag}{c}a{i}" for i in range(k)]
+        hi = [f"{tag}{c}b{i}" for i in range(k)]
+        verts += lo + hi
+        covers += [(lo[i], hi[i]) for i in range(k)] + [(lo[(i + 1) % k], hi[i]) for i in range(k)]
+    return VertexColoredPoset(verts, covers, {v: 1 for v in verts})
+
+
+def test_backtracks_out_of_wrong_first_choice():
+    # refinement cannot tell crown sizes apart, so the search first maps the
+    # 6-crown into a 3-crown and has to undo that choice
+    a, b = _crowns([6, 3, 3], "x"), _crowns([3, 3, 6], "y")
+    assert isomorphic(a, b) and isomorphic(b, a)
+    assert not isomorphic(a, _crowns([6, 6], "z"))
+    assert not isomorphic(_crowns([3, 3], "p"), _crowns([6], "q"))
 
 
 def test_boolean_lattice_symmetry():

@@ -28,6 +28,7 @@ from dclat import (
     verify_subordinate_correspondence,
     weak_subposet_from_sublattice,
 )
+from dclat import substructure
 from dclat.structures import EdgeColoredPoset
 
 
@@ -238,10 +239,18 @@ class TestSubordinates:
             got = {s.vertex_set for s in enumerate_subordinates(fig_poset, J)}
             assert got == subordinates_by_definition(fig_poset, J)
 
-    def test_definition_search_cap(self):
+    def test_definition_search_cap(self, monkeypatch):
         big = VertexColoredPoset([f"x{i}" for i in range(13)], [], {f"x{i}": 1 for i in range(13)})
         with pytest.raises(EnumerationCapExceeded):
             subordinates_by_definition(big, [1])
+
+        # the correspondence check hits the cap before building anything
+        def refuse(P):
+            raise AssertionError("ideal lattice built before the capped search")
+
+        monkeypatch.setattr(substructure, "build_J", refuse)
+        with pytest.raises(EnumerationCapExceeded):
+            verify_subordinate_correspondence(big, [1])
 
     def test_correspondence_fig(self, fig_poset):
         for J in ([], [1], [2], [1, 2]):
@@ -253,6 +262,21 @@ class TestSubordinates:
             for mask in range(1 << len(palette)):
                 J = [palette[i] for i in range(len(palette)) if (mask >> i) & 1]
                 assert verify_subordinate_correspondence(P, J).passed
+
+    def test_peeling_matches_lattice_component(self):
+        """The witness ideal, and its union with the subordinate, are the
+        minimum and maximum of the element's color-restricted component."""
+        for P in random_vertex_posets(40, 7, seed=67):
+            il = build_J(P)
+            view = as_lattice(il.lattice)
+            palette = sorted(P.colors_used)
+            for mask in range(1 << len(palette)):
+                J = [palette[i] for i in range(len(palette)) if (mask >> i) & 1]
+                for comp in j_components(view, J, verify=False).components:
+                    for lab in comp.labels:
+                        sub = subordinate_of(il, lab, J)
+                        assert sub.witness_ideal == il.members(comp.minimum)
+                        assert sub.witness_ideal | sub.vertex_set == il.members(comp.maximum)
 
     def test_deletable_and_addable_sets_are_largest(self, fig_poset):
         """Exhaustive check of the maximality claims behind the subordinate.
