@@ -174,20 +174,19 @@ def _verify_subset_lattice(il: IdealLattice) -> None:
     P, lat, masks = il.source, il.lattice, il.masks
     mask_set = set(masks)
     n = len(masks)
-    ids = {lab: i for i, lab in enumerate(lat.vertices)}
+    down, pos = lat._down, lat._pos
     reverse = il.mode == "filter"
-    for i in range(n):
-        mi = masks[i]
+    for i in range(n):  # element i of the lattice is masks[i]
+        mi, di, pi = masks[i], down[i], pos[i]
         for k in range(i + 1, n):
             mk = masks[k]
             if (mi | mk) not in mask_set or (mi & mk) not in mask_set:
                 raise ValidationError("element family is not closed under union/intersection")
             contained = mi & mk == mi
             contains = mi & mk == mk
-            li, lk = lat.vertices[i], lat.vertices[k]
             if reverse:
                 contained, contains = contains, contained
-            if lat.leq(li, lk) != contained or lat.leq(lk, li) != contains:
+            if (down[k] >> pi & 1) != contained or (di >> pos[k] & 1) != contains:
                 raise ValidationError("lattice order does not match containment")
     diamond = check_diamond_colored(lat)
     if not diamond.ok:

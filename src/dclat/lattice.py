@@ -1,10 +1,15 @@
 """Meet/join computation and the lattice classification predicates.
 
-``as_lattice`` validates that every pair of elements has a unique least
-upper bound and a unique greatest lower bound, building complete join/meet
-tables in the process.  Because reachability bitsets are kept in a
-topological relabeling, the candidate bound for a pair is found from a
-single lowest/highest-set-bit probe and confirmed with one mask equality.
+A ``LatticeView`` stores nothing per pair.  Reachability bitsets are kept
+in a topological relabeling, so the join of two elements is the lowest set
+bit of the intersection of their up-sets and the meet is the highest set
+bit of the intersection of their down-sets.  ``as_lattice`` makes both
+probes exact with one pass over the joins: a finite poset with a least
+element in which every pair has a least upper bound is a lattice.
+
+The predicates are local.  A lattice is modular iff it is topographically
+balanced, and a modular lattice is distributive iff it has exactly
+``length`` join irreducibles.
 """
 
 from __future__ import annotations
@@ -12,22 +17,23 @@ from __future__ import annotations
 from functools import reduce
 from typing import Iterable, NamedTuple
 
-from .errors import IncomparableEndpoints, NotALattice, NotModular, NotRanked
-from .paths import CheckResult, compute_rank
+from .errors import IncomparableEndpoints, NotALattice, NotModular
+from .paths import CheckResult, check_topographically_balanced, compute_rank
 from .structures import EdgeColoredPoset, _bits
 
 
 class LatticeView:
     """Immutable lattice wrapper around an edge-colored poset.
 
-    Construct via :func:`as_lattice`; classification results are cached on
-    the view, so share one view per lattice when running many predicates.
+    Construct via :func:`as_lattice`, which has proved the bound probes
+    exact; joins and meets are computed on demand from the poset's
+    reachability bitsets and no per-pair table is kept.  Classification
+    results are cached on the view, so share one view per lattice when
+    running many predicates.
     """
 
-    def __init__(self, poset: EdgeColoredPoset, join_table, meet_table):
+    def __init__(self, poset: EdgeColoredPoset):
         self.poset = poset
-        self._join = join_table
-        self._meet = meet_table
         self.minimum = poset.minimal_elements()[0]
         self.maximum = poset.maximal_elements()[0]
         self._cache: dict[str, object] = {}
@@ -43,13 +49,22 @@ class LatticeView:
     def leq(self, x: str, y: str) -> bool:
         return self.poset.leq(x, y)
 
+    def _join_id(self, i: int, k: int) -> int:
+        p = self.poset
+        m = p._up[i] & p._up[k]
+        return p._at[(m & -m).bit_length() - 1]
+
+    def _meet_id(self, i: int, k: int) -> int:
+        p = self.poset
+        return p._at[(p._down[i] & p._down[k]).bit_length() - 1]
+
     def join(self, x: str, y: str) -> str:
         p = self.poset
-        return p.vertices[self._join[p.index_of(x)][p.index_of(y)]]
+        return p.vertices[self._join_id(p.index_of(x), p.index_of(y))]
 
     def meet(self, x: str, y: str) -> str:
         p = self.poset
-        return p.vertices[self._meet[p.index_of(x)][p.index_of(y)]]
+        return p.vertices[self._meet_id(p.index_of(x), p.index_of(y))]
 
     def join_all(self, elements: Iterable[str]) -> str:
         """Join of a set; the empty join is the minimum."""
@@ -98,74 +113,61 @@ class LatticeView:
 def as_lattice(p: EdgeColoredPoset) -> LatticeView:
     """Validate unique pairwise bounds and return a lattice view.
 
-    The reported witness is the first offending pair in id order.
+    A least element plus a least upper bound for every pair proves the
+    poset a lattice, so only joins are checked.  If that fails, the full
+    join-then-meet scan reports the first offending pair in id order.
     """
-    n = len(p)
-    if n == 0:
+    if len(p) == 0:
         raise NotALattice("the empty poset is not a lattice")
-    up, down, at = p._up, p._down, p._at
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
+    if len(p.minimal_elements()) != 1 or not _joins_exact(p):
+        _raise_first_missing_bound(p)
+    return LatticeView(p)
+
+
+def _joins_exact(p: EdgeColoredPoset) -> bool:
+    """Every pair's common up-set is the up-set of its lowest element."""
+    up = p._up
+    up_at = [up[i] for i in p._at]
+    n = len(p)
     for i in range(n):
-        join[i][i] = i
-        meet[i][i] = i
-        ui, di = up[i], down[i]
-        ji, mi = join[i], meet[i]
+        ui = up[i]
         for k in range(i + 1, n):
             m = ui & up[k]
+            # an empty m probes position -1, whose non-empty up-set differs
+            if up_at[(m & -m).bit_length() - 1] != m:
+                return False
+    return True
+
+
+def _raise_first_missing_bound(p: EdgeColoredPoset) -> None:
+    """Raise ``NotALattice`` at the first pair in id order without a join, then a meet."""
+    up, down, at, v = p._up, p._down, p._at, p.vertices
+    n = len(p)
+    for i in range(n):
+        for k in range(i + 1, n):
+            m = up[i] & up[k]
             if not m:
-                raise NotALattice(
-                    f"{p.vertices[i]!r} and {p.vertices[k]!r} have no common upper bound",
-                    witness=(p.vertices[i], p.vertices[k], "join"),
-                )
-            low = at[(m & -m).bit_length() - 1]
-            if up[low] != m:
-                raise NotALattice(
-                    f"{p.vertices[i]!r} and {p.vertices[k]!r} have no unique least upper bound",
-                    witness=(p.vertices[i], p.vertices[k], "join"),
-                )
-            ji[k] = low
-            join[k][i] = low
-            m = di & down[k]
-            if not m:
-                raise NotALattice(
-                    f"{p.vertices[i]!r} and {p.vertices[k]!r} have no common lower bound",
-                    witness=(p.vertices[i], p.vertices[k], "meet"),
-                )
-            high = at[m.bit_length() - 1]
-            if down[high] != m:
-                raise NotALattice(
-                    f"{p.vertices[i]!r} and {p.vertices[k]!r} have no unique greatest lower bound",
-                    witness=(p.vertices[i], p.vertices[k], "meet"),
-                )
-            mi[k] = high
-            meet[k][i] = high
-    return LatticeView(p, join, meet)
+                reason, side = "no common upper bound", "join"
+            elif up[at[(m & -m).bit_length() - 1]] != m:
+                reason, side = "no unique least upper bound", "join"
+            elif not (m := down[i] & down[k]):
+                reason, side = "no common lower bound", "meet"
+            elif down[at[m.bit_length() - 1]] != m:
+                reason, side = "no unique greatest lower bound", "meet"
+            else:
+                continue
+            raise NotALattice(f"{v[i]!r} and {v[k]!r} have {reason}", witness=(v[i], v[k], side))
 
 
 def is_modular(L: LatticeView) -> bool:
-    """Ranked, with 2r(x v y) - r(x) - r(y) = r(x) + r(y) - 2r(x ^ y) for all pairs."""
-    if "modular" in L._cache:
-        return L._cache["modular"]  # type: ignore[return-value]
-    try:
-        rank = L.rank_function.rank
-    except NotRanked:
-        L._cache["modular"] = False
-        return False
-    p = L.poset
-    r = [rank[v] for v in p.vertices]
-    ok = True
-    n = len(p)
-    for i in range(n):
-        ji, mi, ri = L._join[i], L._meet[i], r[i]
-        for k in range(i + 1, n):
-            if 2 * r[ji[k]] - ri - r[k] != ri + r[k] - 2 * r[mi[k]]:
-                ok = False
-                break
-        if not ok:
-            break
-    L._cache["modular"] = ok
-    return ok
+    """Topographically balanced, the paper's local criterion for modularity.
+
+    In a lattice a vee has at most one closer, so balance is exactly upper
+    plus lower semimodularity, which a finite lattice has iff it is modular.
+    """
+    if "modular" not in L._cache:
+        L._cache["modular"] = check_topographically_balanced(L.poset).ok
+    return L._cache["modular"]  # type: ignore[return-value]
 
 
 class DistributivityWitness(NamedTuple):
@@ -179,13 +181,20 @@ def is_distributive(L: LatticeView) -> CheckResult:
     """Exhaustive triple scan of both distributive identities.
 
     Each identity implies the other in a lattice; scanning both is a
-    deliberate self-check of the join/meet tables.
+    deliberate self-check of the bound probes.  The join/meet tables the
+    scan needs live only while it runs; the result is cached.
     """
-    if "distributive" in L._cache:
-        return L._cache["distributive"]  # type: ignore[return-value]
+    if "distributive" not in L._cache:
+        witness = _first_distributivity_failure(L)
+        L._cache["distributive"] = CheckResult(witness is None, witness)
+    return L._cache["distributive"]  # type: ignore[return-value]
+
+
+def _first_distributivity_failure(L: LatticeView) -> DistributivityWitness | None:
     n = len(L)
-    J, M = L._join, L._meet
-    result = CheckResult(True, None)
+    J = [[L._join_id(r, s) for s in range(n)] for r in range(n)]
+    M = [[L._meet_id(r, s) for s in range(n)] for r in range(n)]
+    v = L.poset.vertices
     for r in range(n):
         Jr, Mr = J[r], M[r]
         for s in range(n):
@@ -193,63 +202,22 @@ def is_distributive(L: LatticeView) -> CheckResult:
             MJrs, JMrs = M[Jr[s]], J[Mr[s]]
             for t in range(n):
                 if Jr[Ms[t]] != MJrs[Jr[t]]:
-                    result = CheckResult(
-                        False,
-                        DistributivityWitness(
-                            L.poset.vertices[r],
-                            L.poset.vertices[s],
-                            L.poset.vertices[t],
-                            "join-over-meet",
-                        ),
-                    )
-                    break
+                    return DistributivityWitness(v[r], v[s], v[t], "join-over-meet")
                 if Mr[Js[t]] != JMrs[Mr[t]]:
-                    result = CheckResult(
-                        False,
-                        DistributivityWitness(
-                            L.poset.vertices[r],
-                            L.poset.vertices[s],
-                            L.poset.vertices[t],
-                            "meet-over-join",
-                        ),
-                    )
-                    break
-            if not result.ok:
-                break
-        if not result.ok:
-            break
-    L._cache["distributive"] = result
-    return result
+                    return DistributivityWitness(v[r], v[s], v[t], "meet-over-join")
+    return None
 
 
 def is_distributive_fast(L: LatticeView) -> bool:
-    """Quadratic distributivity test via join-irreducible supports.
+    """Modular with exactly ``length`` join irreducibles.
 
-    A finite lattice is distributive iff for all x, y the join-irreducibles
-    below x v y are exactly those below x united with those below y; the
-    support map is then a lattice embedding into a powerset.  Agrees with
-    the triple scan everywhere (tested); use this one on larger lattices.
+    A finite modular lattice has at least ``length`` join irreducibles,
+    with equality iff it is distributive.  Agrees with the triple scan
+    everywhere (tested); use this one on larger lattices.
     """
-    if "distributive_fast" in L._cache:
-        return L._cache["distributive_fast"]  # type: ignore[return-value]
-    p = L.poset
-    n = len(p)
-    irr = [i for i in range(n) if len(p._down_adj[i]) == 1]
-    support = [0] * n
-    for bit, i in enumerate(irr):
-        for pos in _bits(p._up[i]):
-            support[p._at[pos]] |= 1 << bit
-    ok = True
-    for i in range(n):
-        ji, si = L._join[i], support[i]
-        for k in range(i + 1, n):
-            if support[ji[k]] != si | support[k]:
-                ok = False
-                break
-        if not ok:
-            break
-    L._cache["distributive_fast"] = ok
-    return ok
+    if "distributive_fast" not in L._cache:
+        L._cache["distributive_fast"] = is_modular(L) and len(L.join_irreducibles()) == L.length
+    return L._cache["distributive_fast"]  # type: ignore[return-value]
 
 
 def is_boolean(L: LatticeView) -> bool:

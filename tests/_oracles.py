@@ -8,7 +8,7 @@ the library paths it checks.
 
 from itertools import permutations
 
-from dclat import EdgeColoredPoset, VertexColoredPoset
+from dclat import EdgeColoredPoset, NotRanked, VertexColoredPoset
 
 
 def closure_pairs(vertices, cover_pairs):
@@ -124,3 +124,27 @@ def bounds_by_scan(vertices, leq):
             maximal = [z for z in lowers if not any(w != z and leq(z, w) for w in lowers)]
             glb[(x, y)] = maximal[0] if len(maximal) == 1 else None
     return lub, glb
+
+
+def modular_by_rank_identity(view):
+    """Ranked, with 2r(x v y) - r(x) - r(y) = r(x) + r(y) - 2r(x ^ y) for all pairs."""
+    try:
+        rank = view.rank_function.rank
+    except NotRanked:
+        return False
+    verts = view.poset.vertices
+    return all(
+        2 * rank[view.join(x, y)] - rank[x] - rank[y] == rank[x] + rank[y] - 2 * rank[view.meet(x, y)]
+        for x in verts
+        for y in verts
+    )
+
+
+def distributive_by_supports(view):
+    """The join irreducibles below x v y are those below x together with those below y."""
+    p = view.poset
+    irr = [v for v in p.vertices if len(p.descendants(v)) == 1]
+    support = {x: frozenset(j for j in irr if p.leq(j, x)) for x in p.vertices}
+    return all(
+        support[view.join(x, y)] == support[x] | support[y] for x in p.vertices for y in p.vertices
+    )

@@ -11,6 +11,7 @@ from dclat import (
     NotDiamondColored,
     NotDistributive,
     SizeCapExceeded,
+    ValidationError,
     VertexColoredPoset,
     ancestor_interval_boolean,
     antichain_poset,
@@ -31,7 +32,7 @@ from dclat import (
     verify_fundamental_poset,
     verify_transform_identities,
 )
-from dclat.birkhoff import enumerate_ideal_masks
+from dclat.birkhoff import IdealLattice, _verify_subset_lattice, enumerate_ideal_masks
 from dclat.structures import EdgeColoredPoset
 from _oracles import count_ideals
 
@@ -134,6 +135,40 @@ class TestBuildJ:
         # recoloring the dual through fresh color names commutes
         sigma = {1: 8, 2: 9}
         assert isomorphic(recolor(dual(fig_lattice), sigma), dual(recolor(fig_lattice, sigma)))
+
+
+class TestSubsetLatticePostconditions:
+    """Hand-corrupted ideal lattices reach every branch of the build_J/build_M postconditions."""
+
+    square = build_J(antichain_poset(2)).lattice  # empty < a0, a1 < a0.a1
+
+    def test_built_lattices_pass(self):
+        for build in (build_J, build_M):
+            _verify_subset_lattice(build(antichain_poset(3)))
+
+    @pytest.mark.parametrize(
+        "source,mode,masks,message",
+        [
+            (2, "ideal", [0, 1, 2, 7], "not closed under union/intersection"),
+            (3, "ideal", [0, 1, 3, 7], "lattice order does not match containment"),
+            (2, "filter", [0, 1, 2, 3], "lattice order does not match containment"),
+            (3, "ideal", [0, 1, 6, 7], "rank of 'a1' is 1, expected 2"),
+            (3, "ideal", [0, 1, 2, 3], "extremes of the subset lattice are wrong"),
+        ],
+    )
+    def test_corrupted_masks_rejected(self, source, mode, masks, message):
+        il = IdealLattice(antichain_poset(source), mode, masks, self.square)
+        with pytest.raises(ValidationError, match=message):
+            _verify_subset_lattice(il)
+
+    def test_broken_diamond_rejected(self):
+        lat = EdgeColoredPoset(
+            ["empty", "a0", "a1", "a0.a1"],
+            [("empty", "a0", 1), ("empty", "a1", 1), ("a0", "a0.a1", 1), ("a1", "a0.a1", 2)],
+        )
+        il = IdealLattice(antichain_poset(2), "ideal", [0, 1, 2, 3], lat)
+        with pytest.raises(ValidationError, match="not diamond-colored"):
+            _verify_subset_lattice(il)
 
 
 class TestExtract:

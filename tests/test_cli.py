@@ -3,7 +3,7 @@
 import pytest
 
 import dclat
-from dclat import cli
+from dclat import cli, paths
 from dclat.cli import COMMAND_OPERATIONS, main
 from dclat.dcp import parse
 
@@ -34,6 +34,13 @@ class TestExitCodes:
         bad.write_text("type vertex-poset\nvertex a color 1\nedge a b\n")
         code, _, err = run(capsys, "parse", str(bad))
         assert code == 2 and "undeclared" in err
+
+    def test_not_a_lattice_is_1(self, capsys, tmp_path):
+        vee = tmp_path / "vee.dcp"
+        vee.write_text("type edge-lattice\nvertex a\nvertex b\nvertex c\nedge a b color 1\nedge a c color 1\n")
+        code, out, _ = run(capsys, "check", str(vee), "--prop", "distributive")
+        assert code == 1
+        assert out == "not a lattice: 'b' and 'c' have no common upper bound\n"
 
     def test_usage_error_is_2(self, capsys):
         assert main(["check"]) == 2
@@ -169,6 +176,17 @@ class TestVerifyCommand:
         )
         assert code == 0, out
 
+    def test_prop1_compares_balance_with_the_rank_identity(self, capsys, data_dir, monkeypatch):
+        # balance wrongly reported on N5, also where is_modular reads it, must
+        # disagree with the pairwise rank identity
+        for name in ("dclat.cli.paths", "dclat.lattice"):
+            monkeypatch.setattr(
+                f"{name}.check_topographically_balanced", lambda p: paths.CheckResult(True, None)
+            )
+        code, out, _ = run(capsys, "verify", str(data_dir / "n5.dcp"), "--theorem", "prop1")
+        assert code == 1
+        assert "  [FAIL] balance agrees with the modular rank identity\n" in out
+
     def test_verify_cor7_negative(self, capsys, data_dir):
         code, out, _ = run(capsys, "verify", str(data_dir / "b2_mismatched.dcp"), "--theorem", "cor7")
         assert code == 1
@@ -224,6 +242,15 @@ class TestGoldenOutput:
             (["verify", "fig1P.dcp", "--theorem", "subord"], "verify-subord-fig1P.out", 0),
             (["verify", "fig1L.dcp", "--theorem", "prop13"], "verify-prop13-fig1L.out", 0),
             (["verify", "m3.dcp", "--theorem", "prop10"], "verify-prop10-m3.out", 0),
+            (["check", "m3.dcp", "--prop", "lattice"], "check-lattice-m3.out", 0),
+            (["check", "m3.dcp", "--prop", "modular"], "check-modular-m3.out", 0),
+            (["check", "m3.dcp", "--prop", "distributive"], "check-distributive-m3.out", 1),
+            (["check", "n5.dcp", "--prop", "lattice"], "check-lattice-n5.out", 0),
+            (["check", "n5.dcp", "--prop", "modular"], "check-modular-n5.out", 1),
+            (["check", "n5.dcp", "--prop", "distributive"], "check-distributive-n5.out", 1),
+            (["check", "fig1L.dcp", "--prop", "lattice"], "check-lattice-fig1L.out", 0),
+            (["check", "fig1L.dcp", "--prop", "modular"], "check-modular-fig1L.out", 0),
+            (["check", "fig1L.dcp", "--prop", "distributive"], "check-distributive-fig1L.out", 0),
         ],
     )
     def test_matches_golden(self, capsys, data_dir, argv, golden, exit_code):

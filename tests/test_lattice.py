@@ -1,6 +1,7 @@
 """Lattice recognition, bounds, and the classification predicates."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from dclat import (
     as_lattice,
     boolean_lattice,
     build_J,
+    cartesian_product,
     is_boolean,
     is_distributive,
     is_distributive_fast,
@@ -29,7 +31,7 @@ from dclat import (
     isomorphic,
     random_poset,
 )
-from _oracles import bounds_by_scan
+from _oracles import bounds_by_scan, distributive_by_supports, modular_by_rank_identity
 
 
 class TestAsLattice:
@@ -67,6 +69,48 @@ class TestAsLattice:
                         assert view.meet(x, y) == glb[(x, y)]
             except NotALattice:
                 assert not should_be
+
+
+    @pytest.mark.parametrize("least", [False, True])
+    def test_witness_is_first_pair_without_bounds(self, least):
+        rng = random.Random(5 + least)
+        rejected = 0
+        for _ in range(60):
+            P = random_poset(rng.randint(2, 6), rng.uniform(0.2, 0.9), rng.randrange(1 << 30))
+            covers = [(a, b, 1) for a, b in P.covers]
+            if least:
+                covers += [("BOT", v, 1) for v in P.minimal_elements()]
+            p = EdgeColoredPoset(P.vertices + (("BOT",) if least else ()), covers)
+            lub, glb = bounds_by_scan(p.vertices, p.leq)
+            v = p.vertices
+            first = next(
+                (
+                    (v[i], v[k], side)
+                    for i in range(len(v))
+                    for k in range(i + 1, len(v))
+                    for side, bounds in (("join", lub), ("meet", glb))
+                    if bounds[(v[i], v[k])] is None
+                ),
+                None,
+            )
+            if first is None:
+                as_lattice(p)
+                continue
+            rejected += 1
+            with pytest.raises(NotALattice) as exc:
+                as_lattice(p)
+            assert exc.value.witness == first
+        assert rejected >= 20
+
+    def test_memory_without_tables(self):
+        p = boolean_lattice(10)
+        tracemalloc.start()
+        try:
+            as_lattice(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestBounds:
@@ -147,6 +191,38 @@ class TestDistributive:
         for L in corpus:
             view = as_lattice(L)
             assert is_distributive_fast(view) == is_distributive(view).ok
+
+
+def _assert_predicates_match_oracles(L):
+    view = as_lattice(L)
+    assert is_modular(view) == modular_by_rank_identity(view)
+    assert is_distributive_fast(view) == distributive_by_supports(view) == is_distributive(view).ok
+    return view
+
+
+class TestLocalPredicatesMatchOracles:
+    """Balance and the irreducible count against the pairwise rank identity and support law."""
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_corpus(self, seed):
+        corpus = (
+            random_lattices(100, seed=seed)
+            + random_modular_lattices(30, 40, seed=seed)
+            + random_distributive_lattices(30, 40, seed=seed)
+        )
+        views = [_assert_predicates_match_oracles(L) for L in corpus]
+        assert sum(not is_modular(v) for v in views) >= 10
+        assert sum(is_modular(v) and not is_distributive_fast(v) for v in views) >= 5
+
+    def test_m3_squared(self):
+        view = _assert_predicates_match_oracles(cartesian_product(m3(), m3()))
+        assert is_modular(view) and not is_distributive_fast(view)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_random_lattices(self, seed):
+        for L in random_lattices(8, seed=seed)[5:] + random_modular_lattices(5, 30, seed=seed)[3:]:
+            _assert_predicates_match_oracles(L)
 
 
 class TestInterval:
