@@ -4,8 +4,9 @@ A ``LatticeView`` stores nothing per pair.  Reachability bitsets are kept
 in a topological relabeling, so the join of two elements is the lowest set
 bit of the intersection of their up-sets and the meet is the highest set
 bit of the intersection of their down-sets.  ``as_lattice`` makes both
-probes exact with one pass over the joins: a finite poset with a least
-element in which every pair has a least upper bound is a lattice.
+probes exact by checking only the joins of sibling upper covers: in a
+finite poset with a least element, those joins alone imply every join,
+so the poset is a lattice.
 
 The predicates are local.  A lattice is modular iff it is topographically
 balanced, and a modular lattice is distributive iff it has exactly
@@ -26,7 +27,8 @@ class LatticeView:
     """Immutable lattice wrapper around an edge-colored poset.
 
     Construct via :func:`as_lattice`, which has proved the bound probes
-    exact; joins and meets are computed on demand from the poset's
+    exact, or take the ``view`` that an ideal or filter lattice carries
+    by construction; joins and meets are computed on demand from the poset's
     reachability bitsets and no per-pair table is kept.  Classification
     results are cached on the view, so share one view per lattice when
     running many predicates.
@@ -113,9 +115,9 @@ class LatticeView:
 def as_lattice(p: EdgeColoredPoset) -> LatticeView:
     """Validate unique pairwise bounds and return a lattice view.
 
-    A least element plus a least upper bound for every pair proves the
-    poset a lattice, so only joins are checked.  If that fails, the full
-    join-then-meet scan reports the first offending pair in id order.
+    Only a least element and the joins of sibling upper covers are
+    checked.  If that fails, the full join-then-meet scan reports the first
+    offending pair in id order.
     """
     if len(p) == 0:
         raise NotALattice("the empty poset is not a lattice")
@@ -125,17 +127,26 @@ def as_lattice(p: EdgeColoredPoset) -> LatticeView:
 
 
 def _joins_exact(p: EdgeColoredPoset) -> bool:
-    """Every pair's common up-set is the up-set of its lowest element."""
+    """Every two upper covers of one element have a least upper bound.
+
+    Given a least element, this makes p a lattice.  Let Q(w) say "all x,
+    y >= w have a join" and induct downward on w.  If x or y is w, the
+    other is the join.  Otherwise take upper covers a <= x and b <= y of
+    w; if a = b, Q(a) gives x v y.  If not, c = a v b exists by this
+    check, d = x v c by Q(a), and e = d v y by Q(b).  e lies above x and
+    y, and a common upper bound of x and y lies above a and b, so above
+    c, d and e in turn; hence e = x v y, and Q(minimum) gives every join.
+    """
     up = p._up
     up_at = [up[i] for i in p._at]
-    n = len(p)
-    for i in range(n):
-        ui = up[i]
-        for k in range(i + 1, n):
-            m = ui & up[k]
-            # an empty m probes position -1, whose non-empty up-set differs
-            if up_at[(m & -m).bit_length() - 1] != m:
-                return False
+    for covers in p._up_adj:
+        for j, a in enumerate(covers):
+            ua = up[a]
+            for b in covers[j + 1 :]:
+                m = ua & up[b]
+                # an empty m probes position -1, whose non-empty up-set differs
+                if up_at[(m & -m).bit_length() - 1] != m:
+                    return False
     return True
 
 

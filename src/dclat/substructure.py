@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .birkhoff import (
     IdealLattice,
+    _coerce_view,
     build_J,
     enumerate_ideal_masks,
     extract_j,
@@ -22,6 +23,7 @@ from .birkhoff import (
 from .errors import (
     EnumerationCapExceeded,
     HypothesisViolated,
+    NotALattice,
     NotASublattice,
     NotDiamondColored,
     NotModular,
@@ -65,14 +67,12 @@ def check_sublattice(K, L) -> SublatticeEmbedding:
     order.  Flags record whether the embedding is full-length and whether
     every K-edge is an L-edge of the same color.
     """
-    from .errors import NotALattice
-
     try:
-        kv = K if isinstance(K, LatticeView) else as_lattice(K)
+        kv = _coerce_view(K)
     except NotALattice as e:
         raise NotASublattice(f"candidate is not a lattice in its own order: {e}",
                              witness=e.witness) from None
-    lv = L if isinstance(L, LatticeView) else as_lattice(L)
+    lv = _coerce_view(L)
     missing = [v for v in kv.poset.vertices if v not in lv.poset]
     if missing:
         raise ValidationError(f"sublattice candidate has foreign vertices {missing[:3]}")
@@ -271,7 +271,7 @@ def sublattice_from_weak_subposet(P: VertexColoredPoset, Q) -> WeakeningEmbeddin
     Lp = build_J(weak_subposet(P, Q.covers))
     if not set(K.masks) <= set(Lp.masks):
         raise ValidationError("an ideal of the stronger order is not an ideal of the weaker one")
-    emb = check_sublattice(as_lattice(K.lattice), as_lattice(Lp.lattice))
+    emb = check_sublattice(K, Lp)
     if not emb.full_length or not emb.edge_colored:
         raise ValidationError("weakening did not produce a full-length edge-colored sublattice")
     return WeakeningEmbedding(emb, K, Lp)
@@ -295,8 +295,8 @@ def weak_subposet_from_sublattice(L, K) -> SubposetRecovery:
     color-preserving monotone bijection between the irreducible posets, and
     transporting the sub-order along it lands inside the parent order.
     """
-    lv = L if isinstance(L, LatticeView) else as_lattice(L)
-    kv = K if isinstance(K, LatticeView) else as_lattice(K)
+    lv = _coerce_view(L)
+    kv = _coerce_view(K)
     emb = check_sublattice(kv, lv)
     if not emb.full_length:
         raise ValidationError("sublattice is not full-length")
@@ -383,7 +383,7 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
     parent's.  The tests check the components' extremes against
     ``subordinate_of``.
     """
-    lv = L if isinstance(L, LatticeView) else as_lattice(L)
+    lv = _coerce_view(L)
     p = lv.poset
     J = frozenset(colors)
     _diamond_modular(lv, "lattice")
@@ -422,15 +422,12 @@ def verify_component_structure(L, colors: Iterable[int] | None = None) -> Report
 
     When ``colors`` is None every subset of the color set is tried.
     """
-    lv = L if isinstance(L, LatticeView) else as_lattice(L)
+    lv = _coerce_view(L)
     report = Report("color-restricted components are verified sublattices")
     palette = sorted(lv.poset.colors_used)
-    if colors is None:
-        subsets = []
-        for mask in range(1 << len(palette)):
-            subsets.append([palette[i] for i in range(len(palette)) if (mask >> i) & 1])
-    else:
-        subsets = [list(colors)]
+    subsets = [list(colors)] if colors is not None else [
+        [c for i, c in enumerate(palette) if mask >> i & 1] for mask in range(1 << len(palette))
+    ]
     for J in subsets:
         decomp = j_components(lv, J, verify=True)
         total = sum(decomp.sizes())
@@ -564,8 +561,7 @@ def verify_subordinate_correspondence(P: VertexColoredPoset, colors: Iterable[in
     # the capped definition search first, so input past its cap fails fast
     from_definition = subordinates_by_definition(P, J)
     il = build_J(P)
-    lv = as_lattice(il.lattice)
-    decomp = j_components(lv, J, verify=True)
+    decomp = j_components(il, J, verify=True)
     from_components = {s.vertex_set for s in enumerate_subordinates(P, J)}
     report.record("component subordinates match the definition search",
                   from_components == from_definition)
@@ -598,6 +594,6 @@ def verify_subordinate_correspondence(P: VertexColoredPoset, colors: Iterable[in
         )
         report.record(
             f"component at {comp.minimum!r}: irreducibles give back the subordinate",
-            find_isomorphism(extract_j(as_lattice(comp.poset)).poset, sub.poset) is not None,
+            find_isomorphism(extract_j(comp.poset).poset, sub.poset) is not None,
         )
     return report

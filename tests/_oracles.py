@@ -3,12 +3,21 @@
 Everything here is deliberately naive: closures by repeated squaring over
 dicts, isomorphism by permutation search, component counts by union-find,
 ideal counts by a delete-a-minimal recursion.  None of it shares code with
-the library paths it checks.
+the library paths it checks.  Two bitset cross-checks sit here as well:
+the pairwise join check, the reference for the sibling-cover check in
+``as_lattice``, and the postconditions of ``build_J`` / ``build_M``.
 """
 
 from itertools import permutations
 
-from dclat import EdgeColoredPoset, NotRanked, VertexColoredPoset
+from dclat import (
+    EdgeColoredPoset,
+    NotRanked,
+    ValidationError,
+    VertexColoredPoset,
+    check_diamond_colored,
+    compute_rank,
+)
 
 
 def closure_pairs(vertices, cover_pairs):
@@ -148,3 +157,57 @@ def distributive_by_supports(view):
     return all(
         support[view.join(x, y)] == support[x] | support[y] for x in p.vertices for y in p.vertices
     )
+
+
+def joins_exact_pairwise(p):
+    """Every pair's common up-set is the up-set of its lowest element."""
+    up = p._up
+    up_at = [up[i] for i in p._at]
+    n = len(p)
+    for i in range(n):
+        for k in range(i + 1, n):
+            m = up[i] & up[k]
+            # an empty m probes position -1, whose non-empty up-set differs
+            if up_at[(m & -m).bit_length() - 1] != m:
+                return False
+    return True
+
+
+def subset_lattice_postconditions(il):
+    """Postconditions of build_J / build_M, checked on the built object.
+
+    The reachability order must coincide with (reverse) containment and the
+    family must be closed under union and intersection; together these prove
+    the lattice distributive with join/meet given by the set operations.
+    Diamond coloring, the rank formula, and the extremes are checked
+    directly.  Raises ``ValidationError`` on the first failure.
+    """
+    P, lat, masks = il.source, il.lattice, il.masks
+    mask_set = set(masks)
+    n = len(masks)
+    down, pos = lat._down, lat._pos
+    reverse = il.mode == "filter"
+    for i in range(n):  # element i of the lattice is masks[i]
+        mi, di, pi = masks[i], down[i], pos[i]
+        for k in range(i + 1, n):
+            mk = masks[k]
+            if (mi | mk) not in mask_set or (mi & mk) not in mask_set:
+                raise ValidationError("element family is not closed under union/intersection")
+            contained = mi & mk == mi
+            contains = mi & mk == mk
+            if reverse:
+                contained, contains = contains, contained
+            if (down[k] >> pi & 1) != contained or (di >> pos[k] & 1) != contains:
+                raise ValidationError("lattice order does not match containment")
+    diamond = check_diamond_colored(lat)
+    if not diamond.ok:
+        raise ValidationError(f"ideal lattice is not diamond-colored: {diamond.witness}")
+    rf = compute_rank(lat)
+    full = (1 << len(P)) - 1
+    for lab, m in il.mask_of_label.items():
+        expect = m.bit_count() if not reverse else len(P) - m.bit_count()
+        if rf.rank[lab] != expect:
+            raise ValidationError(f"rank of {lab!r} is {rf.rank[lab]}, expected {expect}")
+    lo, hi = (0, full) if not reverse else (full, 0)
+    if il.mask_of_label[lat.minimal_elements()[0]] != lo or il.mask_of_label[lat.maximal_elements()[0]] != hi:
+        raise ValidationError("extremes of the subset lattice are wrong")

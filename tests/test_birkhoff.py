@@ -32,9 +32,9 @@ from dclat import (
     verify_fundamental_poset,
     verify_transform_identities,
 )
-from dclat.birkhoff import IdealLattice, _verify_subset_lattice, enumerate_ideal_masks
+from dclat.birkhoff import IdealLattice, enumerate_ideal_masks
 from dclat.structures import EdgeColoredPoset
-from _oracles import count_ideals
+from _oracles import count_ideals, subset_lattice_postconditions
 
 FIG_IDEALS = [
     frozenset(),
@@ -138,13 +138,16 @@ class TestBuildJ:
 
 
 class TestSubsetLatticePostconditions:
-    """Hand-corrupted ideal lattices reach every branch of the build_J/build_M postconditions."""
+    """The build_J/build_M postconditions hold on built lattices, and hand-corrupted
+    ideal lattices reach every branch of them."""
 
     square = build_J(antichain_poset(2)).lattice  # empty < a0, a1 < a0.a1
 
     def test_built_lattices_pass(self):
-        for build in (build_J, build_M):
-            _verify_subset_lattice(build(antichain_poset(3)))
+        # the 10-antichain's 1024-element lattices cover large sizes too
+        for P in [antichain_poset(3), antichain_poset(10)] + random_vertex_posets(30, 7, seed=21):
+            for build in (build_J, build_M):
+                subset_lattice_postconditions(build(P))
 
     @pytest.mark.parametrize(
         "source,mode,masks,message",
@@ -159,7 +162,7 @@ class TestSubsetLatticePostconditions:
     def test_corrupted_masks_rejected(self, source, mode, masks, message):
         il = IdealLattice(antichain_poset(source), mode, masks, self.square)
         with pytest.raises(ValidationError, match=message):
-            _verify_subset_lattice(il)
+            subset_lattice_postconditions(il)
 
     def test_broken_diamond_rejected(self):
         lat = EdgeColoredPoset(
@@ -168,7 +171,25 @@ class TestSubsetLatticePostconditions:
         )
         il = IdealLattice(antichain_poset(2), "ideal", [0, 1, 2, 3], lat)
         with pytest.raises(ValidationError, match="not diamond-colored"):
-            _verify_subset_lattice(il)
+            subset_lattice_postconditions(il)
+
+
+class TestBuiltLatticesNotRevalidated:
+    """Ideal and filter lattices are lattices by construction and carry their view."""
+
+    def test_no_as_lattice_on_built_lattices(self, fig_poset, monkeypatch):
+        from dclat import birkhoff, substructure
+        from dclat.substructure import sublattice_from_weak_subposet
+
+        def refuse(p):
+            raise AssertionError("a built lattice was validated again")
+
+        for module in (birkhoff, substructure):
+            monkeypatch.setattr(module, "as_lattice", refuse)
+        assert isomorphic(extract_m(build_M(fig_poset)).poset, fig_poset)
+        assert verify_fundamental_poset(fig_poset).passed
+        emb = sublattice_from_weak_subposet(fig_poset, fig_poset).embedding
+        assert emb.full_length and emb.edge_colored
 
 
 class TestExtract:

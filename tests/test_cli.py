@@ -50,11 +50,13 @@ class TestExitCodes:
         assert code == 2
 
     def test_input_over_cap_is_2(self, capsys, tmp_path):
-        antichain = tmp_path / "a.dcp"
-        _, text, _ = run(capsys, "gen", "--kind", "antichain", "-n", "21")
-        antichain.write_text(text)
-        code, out, err = run(capsys, "birkhoff", str(antichain), "--op", "J")
-        assert code == 2 and out == "" and "exceeds cap" in err
+        # 17 is the smallest antichain past the cap; its ideal lattice would need gigabytes
+        for n in ("17", "21"):
+            antichain = tmp_path / "a.dcp"
+            _, text, _ = run(capsys, "gen", "--kind", "antichain", "-n", n)
+            antichain.write_text(text)
+            code, out, err = run(capsys, "birkhoff", str(antichain), "--op", "J")
+            assert code == 2 and out == "" and "exceeds cap 65536" in err
 
 
 class TestCommands:
@@ -251,10 +253,15 @@ class TestGoldenOutput:
             (["check", "fig1L.dcp", "--prop", "lattice"], "check-lattice-fig1L.out", 0),
             (["check", "fig1L.dcp", "--prop", "modular"], "check-modular-fig1L.out", 0),
             (["check", "fig1L.dcp", "--prop", "distributive"], "check-distributive-fig1L.out", 0),
+            (["verify", "fig1P.dcp", "--theorem", "ft"], "verify-ft-fig1P.out", 0),
+            (["verify", "fig1L.dcp", "--theorem", "ft"], "verify-ft-fig1L.out", 0),
+            (["verify", "fig1L.dcp", "--theorem", "cor7"], "verify-cor7-fig1L.out", 0),
+            (["verify", "fig1P.dcp", "--theorem", "cor8", "--with", "fig5Q.dcp"], "verify-cor8-fig1P-fig5Q.out", 0),
+            (["verify", "fig1P.dcp", "--theorem", "thm11"], "verify-thm11-fig1P.out", 0),
         ],
     )
     def test_matches_golden(self, capsys, data_dir, argv, golden, exit_code):
-        argv = [argv[0], str(data_dir / argv[1])] + argv[2:]
+        argv = [str(data_dir / a) if a.endswith(".dcp") else a for a in argv]
         code, out, _ = run(capsys, *argv)
         assert code == exit_code
         assert out == (data_dir / "golden" / golden).read_text(encoding="utf-8")

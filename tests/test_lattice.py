@@ -31,7 +31,13 @@ from dclat import (
     isomorphic,
     random_poset,
 )
-from _oracles import bounds_by_scan, distributive_by_supports, modular_by_rank_identity
+from dclat.lattice import _joins_exact
+from _oracles import (
+    bounds_by_scan,
+    distributive_by_supports,
+    joins_exact_pairwise,
+    modular_by_rank_identity,
+)
 
 
 class TestAsLattice:
@@ -111,6 +117,41 @@ class TestAsLattice:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+
+def _with_least_element(n, density, seed):
+    P = random_poset(n, density, seed)
+    covers = [(a, b, 1) for a, b in P.covers] + [("BOT", v, 1) for v in P.minimal_elements()]
+    return EdgeColoredPoset(P.vertices + ("BOT",), covers)
+
+
+class TestSiblingJoinCheck:
+    """Joins of sibling upper covers decide lattice-ness exactly as joins of all pairs do."""
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_corpus(self, seed):
+        corpus = (
+            random_lattices(100, seed=seed)
+            + random_modular_lattices(30, 40, seed=seed)
+            + random_distributive_lattices(30, 40, seed=seed)
+        )
+        for L in corpus:
+            assert _joins_exact(L) and joins_exact_pairwise(L)
+        rng = random.Random(seed)
+        verdicts = []
+        for _ in range(300):
+            p = _with_least_element(rng.randint(1, 7), rng.uniform(0.1, 0.9), rng.randrange(1 << 30))
+            verdicts.append(_joins_exact(p))
+            assert verdicts[-1] == joins_exact_pairwise(p)
+        assert 30 <= sum(verdicts) <= 270
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7), st.floats(0.05, 0.95), st.integers(0, 1 << 30))
+    def test_random_posets_with_least_element(self, n, density, seed):
+        p = _with_least_element(n, density, seed)
+        lub, _ = bounds_by_scan(p.vertices, p.leq)
+        every_join = all(lub[(x, y)] is not None for x in p.vertices for y in p.vertices)
+        assert _joins_exact(p) == joins_exact_pairwise(p) == every_join
 
 
 class TestBounds:

@@ -201,6 +201,11 @@ class TestComponents:
     def test_structure_report(self, fig_view):
         assert verify_component_structure(fig_view).passed
 
+    def test_ideal_lattice_accepted(self, fig_poset, fig_view):
+        il = build_J(fig_poset)
+        assert j_components(il, [2]) == j_components(fig_view, [2])
+        assert verify_component_structure(il) == verify_component_structure(fig_view)
+
 
 class TestSubordinates:
     def test_no_colors_gives_anchor_itself(self, fig_poset):
