@@ -10,7 +10,6 @@ dual, recoloring, disjoint sum, and product.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -24,7 +23,6 @@ from .errors import (
 )
 from .isomorphism import find_isomorphism
 from .lattice import LatticeView, as_lattice, is_boolean, is_distributive_fast
-from .paths import check_diamond_colored
 from .report import Report
 from .structures import (
     Color,
@@ -183,9 +181,8 @@ class IrreduciblePoset:
 
 
 def _require_dcdl(view: LatticeView) -> None:
-    diamond = check_diamond_colored(view.poset)
-    if not diamond.ok:
-        raise NotDiamondColored(f"diamond violation at {diamond.witness}")
+    if not view.diamond.ok:
+        raise NotDiamondColored(f"diamond violation at {view.diamond.witness}")
     if not is_distributive_fast(view):
         raise NotDistributive("lattice is not distributive")
 
@@ -310,7 +307,7 @@ def is_birkhoff_representable(L) -> tuple[bool, VertexColoredPoset | None]:
     view = _coerce_view(L)
     if not is_distributive_fast(view):
         raise NotDistributive("lattice is not distributive")
-    if not check_diamond_colored(view.poset).ok:
+    if not view.diamond.ok:
         return False, None
     witness = extract_j(view).poset
     if find_isomorphism(view.poset, build_J(witness).lattice) is None:

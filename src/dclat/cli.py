@@ -419,11 +419,11 @@ def _verify_distance_laws(structure: EdgeColoredPoset, seed: int | None):
     ok_dist = True
     ok_bound = True
     for i, s in enumerate(verts):
-        for t in verts[i:]:
-            d = paths.distance(structure, s, t)
-            if d != paths.distance_modular(view, s, t):
+        dist = paths._bfs(structure, i, range(i, len(verts)))
+        for j in range(i, len(verts)):
+            if dist[j] != paths.distance_modular(view, s, verts[j]):
                 ok_dist = False
-            if d > length:
+            if dist[j] > length:
                 ok_bound = False
     report.record("rank formula equals graph distance on all pairs", ok_dist)
     report.record("distances never exceed the length", ok_bound)
@@ -454,22 +454,16 @@ def _verify_distance_laws(structure: EdgeColoredPoset, seed: int | None):
 
 
 def _random_shortest_path(structure: EdgeColoredPoset, s: str, t: str, rng) -> paths.Path:
-    from collections import deque
-
-    dist = {t: 0}
-    queue = deque([t])
-    while queue:
-        v = queue.popleft()
-        for w, _ in structure.up_steps(v) + structure.down_steps(v):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+    # the BFS from t completes s's level, so every vertex closer to t is labelled
+    v, index = structure.vertices, structure.index_of
+    dist = paths._bfs(structure, index(t), (index(s),))
     seq = [s]
-    cur = s
-    while cur != t:
-        nbrs = [w for w, _ in structure.up_steps(cur) + structure.down_steps(cur) if dist[w] == dist[cur] - 1]
-        cur = rng.choice(sorted(nbrs))
-        seq.append(cur)
+    cur = index(s)
+    while dist[cur]:
+        nbrs = [v[w] for adj in (structure._up_adj[cur], structure._down_adj[cur]) for w in adj
+                if dist.get(w) == dist[cur] - 1]
+        seq.append(rng.choice(sorted(nbrs)))
+        cur = index(seq[-1])
     return paths.Path.from_vertices(structure, seq)
 
 

@@ -19,8 +19,8 @@ from functools import reduce
 from typing import Iterable, NamedTuple
 
 from .errors import IncomparableEndpoints, NotALattice, NotModular
-from .paths import CheckResult, check_topographically_balanced, compute_rank
-from .structures import EdgeColoredPoset, _bits
+from .paths import CheckResult, check_diamond_colored, check_topographically_balanced, compute_rank
+from .structures import EdgeColoredPoset
 
 
 class LatticeView:
@@ -88,6 +88,13 @@ class LatticeView:
     def length(self) -> int:
         return self.rank_function.length
 
+    @property
+    def diamond(self) -> CheckResult:
+        """``check_diamond_colored`` of the poset, computed once per view."""
+        if "diamond" not in self._cache:
+            self._cache["diamond"] = check_diamond_colored(self.poset)
+        return self._cache["diamond"]  # type: ignore[return-value]
+
     def ensure_modular(self) -> None:
         if not is_modular(self):
             raise NotModular("lattice is not modular")
@@ -104,12 +111,12 @@ class LatticeView:
     def join_irreducibles(self) -> tuple[str, ...]:
         """Elements covering exactly one other element, in id order."""
         p = self.poset
-        return tuple(v for v in p.vertices if len(p.descendants(v)) == 1)
+        return tuple(v for v, adj in zip(p.vertices, p._down_adj) if len(adj) == 1)
 
     def meet_irreducibles(self) -> tuple[str, ...]:
         """Elements covered by exactly one other element, in id order."""
         p = self.poset
-        return tuple(v for v in p.vertices if len(p.ancestors(v)) == 1)
+        return tuple(v for v, adj in zip(p.vertices, p._up_adj) if len(adj) == 1)
 
 
 def as_lattice(p: EdgeColoredPoset) -> LatticeView:
@@ -236,31 +243,16 @@ def is_boolean(L: LatticeView) -> bool:
 
     Colors are deliberately ignored: the intervals produced by the interval
     results are Boolean as lattices while carrying mixed edge colors.
+
+    The test is 2**k elements for k atoms, plus distributivity; a Boolean
+    lattice passes both.  Conversely, in a distributive lattice an atom a
+    lies below the join of a set S of atoms iff a is in S: if a <= v S
+    then a = a ^ (v S) = v {a ^ s : s in S}, and a ^ s is the minimum for
+    s != a.  So S -> v S is monotone, injective and reflects inclusion;
+    with 2**k elements it is an order isomorphism from the subsets of the
+    atoms onto the lattice.
     """
-    if "boolean" in L._cache:
-        return L._cache["boolean"]  # type: ignore[return-value]
-    p = L.poset
-    n = len(p)
-    atoms = [p.index_of(a) for a in p.ancestors(L.minimum)]
-    k = len(atoms)
-    ok = n == (1 << k)
-    if ok:
-        support = [0] * n
-        for bit, a in enumerate(atoms):
-            for pos in _bits(p._up[a]):
-                support[p._at[pos]] |= 1 << bit
-        if len(set(support)) != n:
-            ok = False
-        else:
-            down, pos = p._down, p._pos
-            for i in range(n):
-                si, pi = support[i], pos[i]
-                for j in range(n):
-                    subset = si | support[j] == support[j]
-                    if subset != bool(down[j] >> pi & 1):
-                        ok = False
-                        break
-                if not ok:
-                    break
-    L._cache["boolean"] = ok
-    return ok
+    if "boolean" not in L._cache:
+        atoms = L.poset._up_adj[L.poset.index_of(L.minimum)]
+        L._cache["boolean"] = len(L) == 1 << len(atoms) and is_distributive_fast(L)
+    return L._cache["boolean"]  # type: ignore[return-value]

@@ -11,7 +11,7 @@ no greater length.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -197,21 +197,21 @@ class CheckResult(NamedTuple):
 
 
 def check_diamond_colored(p: EdgeColoredPoset) -> CheckResult:
-    """Within every diamond of covers, parallel edges must share a color."""
-    n = len(p)
-    for iu in range(n):
-        u = p.vertices[iu]
-        lowers = p.descendants(u)
-        for a in range(len(lowers)):
-            for b in range(a + 1, len(lowers)):
-                s, t = lowers[a], lowers[b]
-                common = sorted(set(p.descendants(s)) & set(p.descendants(t)), key=p.index_of)
-                for bot in common:
-                    if (
-                        p.edge_color(bot, s) != p.edge_color(t, u)
-                        or p.edge_color(bot, t) != p.edge_color(s, u)
-                    ):
-                        return CheckResult(False, DiamondWitness(bot, s, t, u))
+    """Within every diamond of covers, parallel edges must share a color.
+
+    The witness is the first failing diamond by top, lower covers, bottom id.
+    """
+    down = p._down_steps  # per id, (lower cover id, edge color) by id
+    below = [dict(steps) for steps in down]
+    for u, lowers in enumerate(down):
+        for a, (s, color_su) in enumerate(lowers):
+            below_s = below[s]
+            for t, color_tu in lowers[a + 1 :]:
+                for bot, color_bt in down[t]:
+                    color_bs = below_s.get(bot)
+                    if color_bs is not None and (color_bs != color_tu or color_bt != color_su):
+                        v = p.vertices
+                        return CheckResult(False, DiamondWitness(v[bot], v[s], v[t], v[u]))
     return CheckResult(True, None)
 
 
@@ -237,22 +237,35 @@ def check_topographically_balanced(p: _HasseCore) -> CheckResult:
     return CheckResult(True, None)
 
 
+def _bfs(p: _HasseCore, source: int, targets: Iterable[int]) -> dict[int, int]:
+    """Hasse-graph distances by id from ``source``, level by level.
+
+    Stops when the level of the last of ``targets`` is complete, so every
+    vertex as close as that target is labelled; a missing target lies in
+    another component.
+    """
+    dist = {source: 0}
+    pending = set(targets) - {source}
+    frontier = [source]
+    while pending and frontier:
+        nxt = []
+        for i in frontier:
+            for j in p._up_adj[i] + p._down_adj[i]:
+                if j not in dist:
+                    dist[j] = dist[i] + 1
+                    nxt.append(j)
+        pending.difference_update(nxt)
+        frontier = nxt
+    return dist
+
+
 def distance(p: _HasseCore, s: str, t: str) -> int:
     """Graph distance in the undirected Hasse diagram."""
     si, ti = p.index_of(s), p.index_of(t)
-    if si == ti:
-        return 0
-    dist = {si: 0}
-    queue = deque([si])
-    while queue:
-        i = queue.popleft()
-        for j in p._up_adj[i] + p._down_adj[i]:
-            if j not in dist:
-                dist[j] = dist[i] + 1
-                if j == ti:
-                    return dist[j]
-                queue.append(j)
-    raise NotConnectedPair(f"{s!r} and {t!r} lie in different components")
+    d = _bfs(p, si, (ti,)).get(ti)
+    if d is None:
+        raise NotConnectedPair(f"{s!r} and {t!r} lie in different components")
+    return d
 
 
 def distance_modular(L, s: str, t: str) -> int:
@@ -389,9 +402,8 @@ def verify_path_colors(L, s: str, t: str, cap: int = 100_000, pair_cap: int = 4_
     the second-to-last vertex of another, their first and last colors must
     coincide; comparable configurations are recorded, not asserted.
     """
-    diamond = check_diamond_colored(L.poset)
-    if not diamond.ok:
-        raise NotDiamondColored(f"diamond violation at {diamond.witness}")
+    if not L.diamond.ok:
+        raise NotDiamondColored(f"diamond violation at {L.diamond.witness}")
     L.ensure_modular()
     paths = _ascending_paths(L, s, t, cap)
     report = PathColorReport(

@@ -13,6 +13,7 @@ pure, so structures can be shared freely across threads.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingColorMapping, UnknownVertex, ValidationError
@@ -425,23 +426,18 @@ def reduce_relation(
                 queue.append(j)
     if len(topo) != n:
         raise ValidationError("relation contains a cycle")
+    # i covers j iff j is in i's strict reach but in no other element's
+    # strict reach within it; i's successors' strict reaches cover those
     reach = [0] * n
+    cover_mask = [0] * n
     for i in reversed(topo):
-        m = 1 << i
+        strict = beyond = 0
         for j in adj[i]:
-            m |= reach[j]
-        reach[i] = m
-    covers = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not (reach[i] >> j) & 1:
-                continue
-            if not any(
-                k != i and k != j and (reach[i] >> k) & 1 and (reach[k] >> j) & 1
-                for k in range(n)
-            ):
-                covers.append((vertices[i], vertices[j]))
-    return covers
+            strict |= reach[j] | 1 << j
+            beyond |= reach[j]
+        reach[i] = strict
+        cover_mask[i] = strict & ~beyond
+    return [(vertices[i], vertices[j]) for i in range(n) for j in _bits(cover_mask[i])]
 
 
 def _star(label: str) -> str:
@@ -497,55 +493,32 @@ def disjoint_sum(a: Structure, b: Structure) -> Structure:
     return VertexColoredPoset(vertices, covers, colors)
 
 
-def _pair_label(s: str, t: str) -> str:
-    return f"({s},{t})"
-
-
 def cartesian_product(a: EdgeColoredPoset, b: EdgeColoredPoset) -> EdgeColoredPoset:
     """Componentwise-order product; one coordinate steps along an edge, the other is fixed."""
     if not isinstance(a, EdgeColoredPoset) or not isinstance(b, EdgeColoredPoset):
         raise ValidationError("cartesian_product is defined for edge-colored posets")
-    vertices = [_pair_label(s, t) for s in a.vertices for t in b.vertices]
-    covers = []
-    for s in a.vertices:
-        for t1, t2, c in sorted(b.covers):
-            covers.append((_pair_label(s, t1), _pair_label(s, t2), c))
-    for s1, s2, c in sorted(a.covers):
-        for t in b.vertices:
-            covers.append((_pair_label(s1, t), _pair_label(s2, t), c))
-    return EdgeColoredPoset(vertices, covers)
+    return ProductView([a, b]).poset
 
 
 class ProductView:
-    """An n-ary product with flat tuple labels and coordinate bookkeeping."""
+    """An n-ary product with flat tuple labels and coordinate bookkeeping.
+
+    Elements ``"(s,t,...)"`` run in lexicographic order of the factors'
+    vertices; a cover steps one coordinate along a colored factor cover.
+    """
 
     def __init__(self, factors: Sequence[EdgeColoredPoset]):
         if not factors:
             raise ValidationError("product of zero factors is not supported")
         self.factors = tuple(factors)
-        labels = []
-        coords = {}
-        factor_vertices = [f.vertices for f in factors]
-
-        def rec(prefix, k):
-            if k == len(factors):
-                lab = "(" + ",".join(prefix) + ")"
-                labels.append(lab)
-                coords[lab] = tuple(prefix)
-                return
-            for v in factor_vertices[k]:
-                rec(prefix + [v], k + 1)
-
-        rec([], 0)
+        label_of = {parts: self.label_of(parts) for parts in product(*(f.vertices for f in factors))}
         covers = []
-        for lab in labels:
-            parts = coords[lab]
+        for parts, lab in label_of.items():
             for k, f in enumerate(factors):
-                for upper, c in f.up_steps(parts[k]):
-                    tgt = parts[:k] + (upper,) + parts[k + 1 :]
-                    covers.append((lab, "(" + ",".join(tgt) + ")", c))
-        self.poset = EdgeColoredPoset(labels, covers)
-        self.coords = coords
+                for j, c in f._up_steps[f._index[parts[k]]]:
+                    covers.append((lab, label_of[parts[:k] + (f.vertices[j],) + parts[k + 1 :]], c))
+        self.poset = EdgeColoredPoset(list(label_of.values()), covers)
+        self.coords = {lab: parts for parts, lab in label_of.items()}
 
     def label_of(self, parts: Sequence[str]) -> str:
         return "(" + ",".join(parts) + ")"

@@ -27,13 +27,14 @@ from .errors import (
     NotASublattice,
     NotDiamondColored,
     NotModular,
+    NotRanked,
     NotWeakSubposet,
     UnknownVertex,
     ValidationError,
 )
 from .isomorphism import find_isomorphism
 from .lattice import LatticeView, as_lattice, is_distributive_fast, is_modular
-from .paths import check_diamond_colored, distance
+from .paths import _bfs
 from .report import Report
 from .structures import (
     EdgeColoredPoset,
@@ -91,7 +92,7 @@ def check_sublattice(K, L) -> SublatticeEmbedding:
                 )
     try:
         full_length = kv.length == lv.length
-    except Exception:
+    except NotRanked:
         full_length = False
     edge_colored = all(
         lv.poset.has_cover(a, b) and lv.poset.edge_color(a, b) == c
@@ -123,7 +124,7 @@ def verify_full_length_agreement(emb: SublatticeEmbedding) -> Report:
 
 
 def _diamond_modular(view: LatticeView, what: str) -> None:
-    if not check_diamond_colored(view.poset).ok:
+    if not view.diamond.ok:
         raise NotDiamondColored(f"{what} is not diamond-colored")
     if not is_modular(view):
         raise NotModular(f"{what} is not modular")
@@ -206,7 +207,7 @@ def verify_product_closure(factors: Sequence[EdgeColoredPoset], K_labels: Iterab
         ),
     )
     report.record("product is modular", is_modular(lv))
-    report.record("product is diamond-colored", check_diamond_colored(L).ok)
+    report.record("product is diamond-colored", lv.diamond.ok)
     if all_distributive:
         report.record("product is distributive", is_distributive_fast(lv))
 
@@ -216,7 +217,7 @@ def verify_product_closure(factors: Sequence[EdgeColoredPoset], K_labels: Iterab
     report.record("subset sublattice is full-length", emb.full_length)
     report.record("subset sublattice is edge-colored", emb.edge_colored)
     report.record("subset sublattice is modular", is_modular(emb.sub_view))
-    report.record("subset sublattice is diamond-colored", check_diamond_colored(sub).ok)
+    report.record("subset sublattice is diamond-colored", emb.sub_view.diamond.ok)
     if all_distributive:
         report.record("subset sublattice is distributive", is_distributive_fast(emb.sub_view))
     agreement = verify_full_length_agreement(emb)
@@ -402,17 +403,21 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
         if verify:
             sv = as_lattice(sub)
             check_sublattice(sv, lv)
-            if not check_diamond_colored(sub).ok:
+            if not sv.diamond.ok:
                 raise ValidationError("component is not diamond-colored")
             if not is_modular(sv):
                 raise ValidationError("component is not modular")
             if distributive_parent and not is_distributive_fast(sv):
                 raise ValidationError("component of a distributive lattice is not distributive")
-            for i, x in enumerate(labels):
-                for y in labels[i + 1 :]:
-                    if distance(sub, x, y) != distance(p, x, y):
+            # sub's ids follow labels; one BFS per source on each side
+            ids = [p.index_of(x) for x in labels]
+            for k in range(len(labels)):
+                inner = _bfs(sub, k, range(k + 1, len(labels)))
+                outer = _bfs(p, ids[k], ids[k + 1 :])
+                for m in range(k + 1, len(labels)):
+                    if inner[m] != outer[ids[m]]:
                         raise ValidationError(
-                            f"inner distance differs from parent distance at ({x!r}, {y!r})"
+                            f"inner distance differs from parent distance at ({labels[k]!r}, {labels[m]!r})"
                         )
     return JComponentDecomposition(J, tuple(infos))
 

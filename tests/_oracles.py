@@ -5,19 +5,27 @@ dicts, isomorphism by permutation search, component counts by union-find,
 ideal counts by a delete-a-minimal recursion.  None of it shares code with
 the library paths it checks.  Two bitset cross-checks sit here as well:
 the pairwise join check, the reference for the sibling-cover check in
-``as_lattice``, and the postconditions of ``build_J`` / ``build_M``.
+``as_lattice``, and the postconditions of ``build_J`` / ``build_M``.  So
+do the label-level bodies the library replaced with id-level ones: the
+diamond scan, the per-pair BFS distance, the atom-support Boolean test
+the cubic transitive reduction and the two-factor product built pair by
+pair.
 """
 
+from collections import deque
 from itertools import permutations
 
 from dclat import (
     EdgeColoredPoset,
+    NotConnectedPair,
     NotRanked,
+    UnknownVertex,
     ValidationError,
     VertexColoredPoset,
     check_diamond_colored,
     compute_rank,
 )
+from dclat.paths import CheckResult, DiamondWitness
 
 
 def closure_pairs(vertices, cover_pairs):
@@ -211,3 +219,110 @@ def subset_lattice_postconditions(il):
     lo, hi = (0, full) if not reverse else (full, 0)
     if il.mask_of_label[lat.minimal_elements()[0]] != lo or il.mask_of_label[lat.maximal_elements()[0]] != hi:
         raise ValidationError("extremes of the subset lattice are wrong")
+
+
+def diamond_by_labels(p):
+    """Diamond scan on labels: tops, pairs of lower covers, common bottoms, all by id."""
+    for u in p.vertices:
+        lowers = p.descendants(u)
+        for a in range(len(lowers)):
+            for b in range(a + 1, len(lowers)):
+                s, t = lowers[a], lowers[b]
+                common = sorted(set(p.descendants(s)) & set(p.descendants(t)), key=p.index_of)
+                for bot in common:
+                    if (
+                        p.edge_color(bot, s) != p.edge_color(t, u)
+                        or p.edge_color(bot, t) != p.edge_color(s, u)
+                    ):
+                        return CheckResult(False, DiamondWitness(bot, s, t, u))
+    return CheckResult(True, None)
+
+
+def distance_by_pair_bfs(p, s, t):
+    """One breadth-first search on labels per pair, stopping at t."""
+    if s == t:
+        p.index_of(s)
+        return 0
+    dist = {s: 0}
+    queue = deque([s])
+    while queue:
+        v = queue.popleft()
+        for w in p.ancestors(v) + p.descendants(v):
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                if w == t:
+                    return dist[w]
+                queue.append(w)
+    raise NotConnectedPair(f"{s!r} and {t!r} lie in different components")
+
+
+def boolean_by_supports(view):
+    """2**k elements, distinct atom supports, and order equal to support inclusion."""
+    p = view.poset
+    n = len(p)
+    atoms = [p.index_of(a) for a in p.ancestors(view.minimum)]
+    if n != 1 << len(atoms):
+        return False
+    support = [
+        sum(1 << bit for bit, a in enumerate(atoms) if p._down[x] >> p._pos[a] & 1) for x in range(n)
+    ]
+    if len(set(support)) != n:
+        return False
+    return all(
+        (support[i] | support[j] == support[j]) == bool(p._down[j] >> p._pos[i] & 1)
+        for i in range(n)
+        for j in range(n)
+    )
+
+
+def reduce_relation_by_scan(vertices, pairs):
+    """Close the relation, then keep (i, j) with no k strictly between: cubic."""
+    vertices = list(vertices)
+    index = {v: i for i, v in enumerate(vertices)}
+    n = len(vertices)
+    adj = [set() for _ in range(n)]
+    for a, b in pairs:
+        if a not in index or b not in index:
+            raise UnknownVertex(f"relation references undeclared vertex in ({a!r}, {b!r})")
+        if a != b:
+            adj[index[a]].add(index[b])
+    indeg = [0] * n
+    for i in range(n):
+        for j in adj[i]:
+            indeg[j] += 1
+    queue = [i for i in range(n) if indeg[i] == 0]
+    topo = []
+    while queue:
+        i = queue.pop()
+        topo.append(i)
+        for j in adj[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                queue.append(j)
+    if len(topo) != n:
+        raise ValidationError("relation contains a cycle")
+    reach = [0] * n
+    for i in reversed(topo):
+        m = 1 << i
+        for j in adj[i]:
+            m |= reach[j]
+        reach[i] = m
+    covers = []
+    for i in range(n):
+        for j in range(n):
+            if i == j or not (reach[i] >> j) & 1:
+                continue
+            if not any(
+                k != i and k != j and (reach[i] >> k) & 1 and (reach[k] >> j) & 1
+                for k in range(n)
+            ):
+                covers.append((vertices[i], vertices[j]))
+    return covers
+
+
+def product_by_pairs(a, b):
+    """Two-factor product: vertices "(s,t)" with t fastest, one coordinate steps along an edge."""
+    vertices = [f"({s},{t})" for s in a.vertices for t in b.vertices]
+    covers = [(f"({s},{t1})", f"({s},{t2})", c) for s in a.vertices for t1, t2, c in b.covers]
+    covers += [(f"({s1},{t})", f"({s2},{t})", c) for s1, s2, c in a.covers for t in b.vertices]
+    return EdgeColoredPoset(vertices, covers)

@@ -258,10 +258,22 @@ class TestGoldenOutput:
             (["verify", "fig1L.dcp", "--theorem", "cor7"], "verify-cor7-fig1L.out", 0),
             (["verify", "fig1P.dcp", "--theorem", "cor8", "--with", "fig5Q.dcp"], "verify-cor8-fig1P-fig5Q.out", 0),
             (["verify", "fig1P.dcp", "--theorem", "thm11"], "verify-thm11-fig1P.out", 0),
+            (["check", "b2_mismatched.dcp", "--prop", "diamond"], "check-diamond-b2_mismatched.out", 1),
+            (["check", "b2_mismatched.dcp", "--prop", "boolean"], "check-boolean-b2_mismatched.out", 0),
+            (["check", "fig1L.dcp", "--prop", "boolean"], "check-boolean-fig1L.out", 1),
+            (["verify", "fig1L.dcp", "--theorem", "prop1"], "verify-prop1-fig1L.out", 0),
+            (["verify", "fig1L.dcp", "--theorem", "prop12"], "verify-prop12-fig1L.out", 0),
+            (["verify", "fig1L.dcp", "--theorem", "prop10", "--with", "m3.dcp"], "verify-prop10-fig1L-m3.out", 0),
+            (["transform", "fig1L.dcp", "--op", "product:m3.dcp"], "transform-product-fig1L-m3.out", 0),
         ],
     )
     def test_matches_golden(self, capsys, data_dir, argv, golden, exit_code):
-        argv = [str(data_dir / a) if a.endswith(".dcp") else a for a in argv]
+        # a file name may follow an op prefix, as in product:m3.dcp
+        argv = [
+            prefix + sep + str(data_dir / name) if name.endswith(".dcp") else a
+            for a in argv
+            for prefix, sep, name in [a.rpartition(":")]
+        ]
         code, out, _ = run(capsys, *argv)
         assert code == exit_code
         assert out == (data_dir / "golden" / golden).read_text(encoding="utf-8")

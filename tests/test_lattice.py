@@ -1,6 +1,7 @@
 """Lattice recognition, bounds, and the classification predicates."""
 
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -30,9 +31,14 @@ from dclat import (
     is_modular,
     isomorphic,
     random_poset,
+    verify_component_structure,
+    verify_fundamental,
 )
+from dclat import paths
+from dclat.dcp import parse
 from dclat.lattice import _joins_exact
 from _oracles import (
+    boolean_by_supports,
     bounds_by_scan,
     distributive_by_supports,
     joins_exact_pairwise,
@@ -238,6 +244,7 @@ def _assert_predicates_match_oracles(L):
     view = as_lattice(L)
     assert is_modular(view) == modular_by_rank_identity(view)
     assert is_distributive_fast(view) == distributive_by_supports(view) == is_distributive(view).ok
+    assert is_boolean(view) == boolean_by_supports(view)
     return view
 
 
@@ -254,6 +261,7 @@ class TestLocalPredicatesMatchOracles:
         views = [_assert_predicates_match_oracles(L) for L in corpus]
         assert sum(not is_modular(v) for v in views) >= 10
         assert sum(is_modular(v) and not is_distributive_fast(v) for v in views) >= 5
+        assert sum(is_boolean(v) for v in views) >= 5
 
     def test_m3_squared(self):
         view = _assert_predicates_match_oracles(cartesian_product(m3(), m3()))
@@ -316,3 +324,48 @@ class TestBoolean:
             [("bot", "x", 1), ("bot", "y", 2), ("x", "top", 2), ("y", "top", 1)],
         )
         assert is_boolean(as_lattice(p))
+
+    def test_size_alone_is_not_enough(self):
+        """Three atoms and eight elements, but M3 below a chain: not distributive."""
+        p = EdgeColoredPoset(
+            ["bot", "a", "b", "c", "t1", "t2", "t3", "t4"],
+            [("bot", "a", 1), ("bot", "b", 1), ("bot", "c", 1), ("a", "t1", 1), ("b", "t1", 1),
+             ("c", "t1", 1), ("t1", "t2", 1), ("t2", "t3", 1), ("t3", "t4", 1)],
+        )
+        view = as_lattice(p)
+        assert len(view) == 2 ** len(p.ancestors("bot"))
+        assert not is_boolean(view) and not boolean_by_supports(view)
+
+
+@pytest.fixture
+def diamond_scans(monkeypatch):
+    """Count check_diamond_colored calls, wrapped in every dclat module that imports it."""
+    original = paths.check_diamond_colored
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return original(p)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "dclat" and getattr(mod, "check_diamond_colored", None) is original:
+            monkeypatch.setattr(mod, "check_diamond_colored", counted)
+    return calls
+
+
+class TestDiamondVerdictOncePerView:
+    def test_cached_on_the_view(self, fig_lattice, diamond_scans):
+        view = as_lattice(fig_lattice)
+        assert view.diamond.ok and view.diamond.ok
+        assert len(diamond_scans) == 1
+
+    def test_fundamental_roundtrips_scan_once(self, fig_lattice, diamond_scans):
+        assert verify_fundamental(as_lattice(fig_lattice)).passed
+        assert len(diamond_scans) == 1
+
+    def test_component_structure_scans_the_lattice_once(self, data_dir, diamond_scans):
+        L = parse((data_dir / "fig1L.dcp").read_text())
+        assert verify_component_structure(L).passed
+        # once for the lattice, once per component over the four color subsets
+        assert len(diamond_scans) == 27
+        assert sum(p is L for p in diamond_scans) == 1

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpus import edge_chain, hexagon, m3, n5, random_distributive_lattices, random_modular_lattices
+from corpus import (
+    edge_chain,
+    hexagon,
+    m3,
+    n5,
+    random_distributive_lattices,
+    random_lattices,
+    random_modular_lattices,
+    random_vertex_posets,
+)
 from dclat import (
     EnumerationCapExceeded,
     NotConnected,
@@ -21,6 +30,7 @@ from dclat import (
     check_diamond_colored,
     check_topographically_balanced,
     compute_rank,
+    disjoint_sum,
     distance,
     distance_modular,
     is_modular,
@@ -30,8 +40,9 @@ from dclat import (
     verify_path_colors,
     verify_path_colors_all,
 )
+from dclat.paths import _bfs
 from dclat.structures import EdgeColoredPoset
-from _oracles import rank_assignments
+from _oracles import diamond_by_labels, distance_by_pair_bfs, rank_assignments
 
 
 class TestPathBasics:
@@ -145,6 +156,42 @@ class TestDiamondColoring:
     def test_vacuous_when_no_diamond(self):
         assert check_diamond_colored(n5()).ok
 
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_matches_label_scan(self, seed):
+        """Verdict and witness equal the label-level scan, also with any one edge recolored.
+
+        The posets that are not lattices can have diamonds sharing a top and
+        both sides, which pins the order in which bottoms are scanned.
+        """
+        rng = random.Random(seed)
+        posets = [
+            EdgeColoredPoset(P.vertices, [(a, b, rng.randint(1, 2)) for a, b in sorted(P.covers)])
+            for P in random_vertex_posets(40, 9, seed=seed, min_n=4)
+        ]
+        crown = EdgeColoredPoset(
+            ["b1", "b2", "s", "t", "u"],
+            [("b1", "s", 1), ("b1", "t", 1), ("b2", "s", 1), ("b2", "t", 1), ("s", "u", 1), ("t", "u", 2)],
+        )
+        corpus = (
+            random_lattices(40, seed=seed)
+            + random_modular_lattices(15, 40, seed=seed)
+            + random_distributive_lattices(15, 40, seed=seed)
+            + posets
+            + [crown]
+        )
+        failures = 0
+        for L in corpus:
+            assert check_diamond_colored(L) == diamond_by_labels(L)
+            fresh = max(L.colors_used, default=0) + 1
+            for edge in sorted(L.covers):
+                recolored = EdgeColoredPoset(
+                    L.vertices, [(a, b, fresh if (a, b, c) == edge else c) for a, b, c in L.covers]
+                )
+                res = check_diamond_colored(recolored)
+                assert res == diamond_by_labels(recolored)
+                failures += not res.ok
+        assert failures >= 100
+
 
 class TestBalance:
     def test_single_diamond_balanced(self):
@@ -191,6 +238,35 @@ class TestDistance:
             for t in p.vertices:
                 if p.leq(s, t):
                     assert distance_modular(fig_view, s, t) == rank[t] - rank[s]
+
+    def test_matches_pair_bfs(self):
+        """distance and every early-stopped _bfs agree with one label-level search per pair."""
+        rng = random.Random(21)
+        corpus = random_lattices(15, seed=21) + [disjoint_sum(m3(), edge_chain(2)), n5()]
+        disconnected = 0
+        for p in corpus:
+            n = len(p)
+            for s in p.vertices:
+                expected = {}
+                for t in p.vertices:
+                    try:
+                        expected[t] = distance_by_pair_bfs(p, s, t)
+                    except NotConnectedPair:
+                        disconnected += 1
+                        with pytest.raises(NotConnectedPair):
+                            distance(p, s, t)
+                        continue
+                    assert distance(p, s, t) == expected[t]
+                targets = rng.sample(range(n), rng.randint(0, n))
+                dist = _bfs(p, p.index_of(s), targets)
+                reached = [expected[p.vertices[j]] for j in targets if p.vertices[j] in expected]
+                # every vertex as close as the farthest reachable target is labelled, correctly
+                horizon = max(reached, default=0)
+                for t, d in expected.items():
+                    if d <= horizon:
+                        assert dist[p.index_of(t)] == d
+                assert all(expected[p.vertices[j]] == d for j, d in dist.items())
+        assert disconnected > 0
 
     def test_formula_equals_bfs_everywhere(self):
         for L in random_modular_lattices(15, 40, seed=11):

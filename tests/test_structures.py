@@ -1,5 +1,8 @@
 """Structure construction and the four structural operations."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +11,7 @@ from corpus import edge_chain, random_vertex_posets
 from dclat import (
     EdgeColoredPoset,
     MissingColorMapping,
+    ProductView,
     UnknownVertex,
     ValidationError,
     VertexColoredPoset,
@@ -21,7 +25,14 @@ from dclat import (
     recolor,
     reduce_relation,
 )
-from _oracles import brute_isomorphism, closure_pairs, component_count
+from dclat.dcp import emit, parse
+from _oracles import (
+    brute_isomorphism,
+    closure_pairs,
+    component_count,
+    product_by_pairs,
+    reduce_relation_by_scan,
+)
 
 
 def two_color_diamond():
@@ -203,6 +214,16 @@ class TestCartesianProduct:
         assert len(prod) == len(a) * len(b)
         assert len(prod.covers) == len(a.covers) * len(b) + len(b.covers) * len(a)
 
+    def test_is_the_two_factor_product_view(self, data_dir):
+        fixtures = [parse(f.read_text()) for f in sorted(data_dir.glob("*.dcp"))]
+        edge_colored = [p for p in fixtures if isinstance(p, EdgeColoredPoset)]
+        assert len(edge_colored) >= 4
+        for a in edge_colored:
+            for b in edge_colored:
+                prod = cartesian_product(a, b)
+                assert prod == ProductView([a, b]).poset == product_by_pairs(a, b)
+                assert emit(prod) == emit(product_by_pairs(a, b))
+
 
 class TestSumProductLaws:
     def test_sum_commutes_associates(self):
@@ -232,6 +253,30 @@ class TestReduceRelation:
     def test_cycle_detected(self):
         with pytest.raises(ValidationError):
             reduce_relation(["a", "b"], [("a", "b"), ("b", "a")])
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_cubic_scan(self, seed):
+        """Same covers in the same order, and the same exceptions, as the cubic scan."""
+        rng = random.Random(seed)
+        invalid = set()
+        for _ in range(300):
+            n = rng.randint(0, 9)
+            verts = [f"v{i}" for i in rng.sample(range(20), n)]
+            pool = verts + ["ghost"] if rng.random() < 0.05 else verts
+            pairs = []
+            for _ in range(rng.randint(0, 3 * n) if pool else 0):
+                a, b = sorted(rng.sample(range(len(pool)), 2) if len(pool) > 1 else [0, 0])
+                pairs.append((pool[b], pool[a]) if rng.random() < 0.02 else (pool[a], pool[b]))
+            try:
+                expected = reduce_relation_by_scan(verts, pairs)
+            except (UnknownVertex, ValidationError) as e:
+                invalid.add(type(e))
+                with pytest.raises(type(e), match=re.escape(str(e))) as got:
+                    reduce_relation(verts, pairs)
+                assert type(got.value) is type(e)
+                continue
+            assert reduce_relation(verts, pairs) == expected
+        assert invalid == {UnknownVertex, ValidationError}
 
 
 class TestTransitiveReductionInvariant:

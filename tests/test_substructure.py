@@ -2,7 +2,7 @@
 
 import pytest
 
-from corpus import edge_chain, m3, random_vertex_posets, weak_subposet_pairs
+from corpus import edge_chain, m3, n5, random_vertex_posets, weak_subposet_pairs
 from dclat import (
     EnumerationCapExceeded,
     HypothesisViolated,
@@ -10,6 +10,7 @@ from dclat import (
     NotModular,
     NotWeakSubposet,
     ProductView,
+    ValidationError,
     VertexColoredPoset,
     as_lattice,
     boolean_lattice,
@@ -36,6 +37,18 @@ class TestCheckSublattice:
     def test_lattice_in_itself(self, fig_lattice):
         emb = check_sublattice(fig_lattice, fig_lattice)
         assert emb.full_length and emb.edge_colored
+
+    def test_unranked_lattice_is_not_full_length(self):
+        emb = check_sublattice(n5(), n5())
+        assert emb.full_length is False and emb.edge_colored
+
+    def test_other_errors_from_the_length_propagate(self, monkeypatch, fig_lattice):
+        def broken(view):
+            raise RuntimeError("length is broken")
+
+        monkeypatch.setattr(substructure.LatticeView, "length", property(broken))
+        with pytest.raises(RuntimeError):
+            check_sublattice(fig_lattice, fig_lattice)
 
     def test_interval_is_edge_colored_sublattice(self, fig_view):
         inner = fig_view.interval("v5", "v2.v4.v5.v6")
@@ -200,6 +213,18 @@ class TestComponents:
 
     def test_structure_report(self, fig_view):
         assert verify_component_structure(fig_view).passed
+
+    def test_distances_are_compared_with_the_parent(self, monkeypatch, fig_view):
+        """Parent distances stretched by one must trip the verified split."""
+        real_bfs = substructure._bfs
+
+        def stretched(p, source, targets):
+            dist = real_bfs(p, source, targets)
+            return dist if p is not fig_view.poset else {j: d + 1 for j, d in dist.items()}
+
+        monkeypatch.setattr(substructure, "_bfs", stretched)
+        with pytest.raises(ValidationError, match="inner distance differs from parent distance"):
+            j_components(fig_view, [2])
 
     def test_ideal_lattice_accepted(self, fig_poset, fig_view):
         il = build_J(fig_poset)
