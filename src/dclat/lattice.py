@@ -16,6 +16,7 @@ balanced, and a modular lattice is distributive iff it has exactly
 from __future__ import annotations
 
 from functools import reduce
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .errors import IncomparableEndpoints, NotALattice, NotModular
@@ -196,11 +197,28 @@ class DistributivityWitness(NamedTuple):
 
 
 def is_distributive(L: LatticeView) -> CheckResult:
-    """Exhaustive triple scan of both distributive identities.
+    """Both distributive identities, with the first failing triple as witness.
 
-    Each identity implies the other in a lattice; scanning both is a
-    deliberate self-check of the bound probes.  The join/meet tables the
-    scan needs live only while it runs; the result is cached.
+    The witness is the first (r, s, t) in id order, r-major, at which
+    r v (s ^ t) = (r v s) ^ (r v t) (join-over-meet) or, at the same triple,
+    r ^ (s v t) = (r ^ s) v (r ^ t) (meet-over-join) fails.  Each identity
+    implies the other in a lattice; scanning both is a deliberate
+    self-check of the bound probes.
+
+    Each r is first tested against irreducibles only.  For fixed r, f(x) =
+    r v x has f(s ^ t) = f(s) ^ f(t) for all s, t iff it has it for all s
+    and every meet-irreducible t.  For t = top it holds trivially.
+    Otherwise t = m1 ^ ... ^ mk with each mi meet-irreducible, and by
+    induction f(s ^ m1 ^ ... ^ mi) = f(s ^ ... ^ m(i-1)) ^ f(mi) = f(s) ^
+    f(m1) ^ ... ^ f(mi).  The case s = m1 gives f(t) = f(m1) ^ ... ^ f(mk),
+    hence f(s ^ t) = f(s) ^ f(t).  Dually, r ^ x preserves joins iff it
+    does so against every join-irreducible t.  So the test finds whether
+    any (s, t) fails either identity at r.  The scan stops at the least r
+    for which it does, so only that r gets the full (s, t) scan, which
+    returns the same first witness as scanning every triple would.  One
+    tested r compares |J(L)| + |M(L)| table rows of length n instead of
+    n^2 pairs.  The table rows live only while the scan runs and are
+    built on first read; the result is cached.
     """
     if "distributive" not in L._cache:
         witness = _first_distributivity_failure(L)
@@ -208,13 +226,34 @@ def is_distributive(L: LatticeView) -> CheckResult:
     return L._cache["distributive"]  # type: ignore[return-value]
 
 
+class _Rows(dict):
+    """Rows of the join or meet table, each probed on first read."""
+
+    def __init__(self, probe, n: int):
+        super().__init__()
+        self._probe, self._n = probe, n
+
+    def __missing__(self, i: int) -> list[int]:
+        row = self[i] = list(map(self._probe, repeat(i, self._n), range(self._n)))
+        return row
+
+
+def _distributes(A: _Rows, B: _Rows, r: int, irreducibles: list[int]) -> bool:
+    """r A (s B t) = (r A s) B (r A t) for every s and every t in ``irreducibles``, row by row."""
+    Ar = A[r]
+    return all(list(map(Ar.__getitem__, B[t])) == list(map(B[Ar[t]].__getitem__, Ar)) for t in irreducibles)
+
+
 def _first_distributivity_failure(L: LatticeView) -> DistributivityWitness | None:
+    p = L.poset
     n = len(L)
-    J = [[L._join_id(r, s) for s in range(n)] for r in range(n)]
-    M = [[L._meet_id(r, s) for s in range(n)] for r in range(n)]
-    v = L.poset.vertices
+    J, M = _Rows(L._join_id, n), _Rows(L._meet_id, n)
+    join_irr = [t for t, adj in enumerate(p._down_adj) if len(adj) == 1]
+    meet_irr = [t for t, adj in enumerate(p._up_adj) if len(adj) == 1]
     for r in range(n):
-        Jr, Mr = J[r], M[r]
+        if _distributes(J, M, r, meet_irr) and _distributes(M, J, r, join_irr):
+            continue
+        Jr, Mr, v = J[r], M[r], p.vertices
         for s in range(n):
             Ms, Js = M[s], J[s]
             MJrs, JMrs = M[Jr[s]], J[Mr[s]]

@@ -10,7 +10,7 @@ no greater length.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -145,30 +145,30 @@ def compute_rank(p: _HasseCore) -> RankFunction:
         raise NotConnected("empty poset has no rank function")
     if not p.is_connected():
         raise NotConnected("rank functions are only unique on connected posets")
-    level = {p.vertices[0]: 0}
-    queue = deque([p.vertices[0]])
-    while queue:
-        v = queue.popleft()
-        for w in p.ancestors(v):
-            if w in level:
-                if level[w] != level[v] + 1:
-                    raise NotRanked(f"inconsistent levels at cover {v!r} -> {w!r}")
-            else:
-                level[w] = level[v] + 1
-                queue.append(w)
-        for w in p.descendants(v):
-            if w in level:
-                if level[w] != level[v] - 1:
-                    raise NotRanked(f"inconsistent levels at cover {w!r} -> {v!r}")
-            else:
-                level[w] = level[v] - 1
-                queue.append(w)
-    # BFS assigns relative levels; a second pass catches cross edges.
-    for a, b in ((x, y) for x in p.vertices for y in p.ancestors(x)):
-        if level[b] != level[a] + 1:
-            raise NotRanked(f"inconsistent levels at cover {a!r} -> {b!r}")
-    low = min(level.values())
-    rank = {v: l - low for v, l in level.items()}
+    # BFS on ids from vertex 0; appending to `order` while iterating it is
+    # the queue.  A cover gets consistent levels, or raises, when its first
+    # endpoint is dequeued, and levels never change after, so no second pass
+    # over the covers is needed.
+    up, down, v = p._up_adj, p._down_adj, p.vertices
+    level: list[int | None] = [None] * len(p)
+    level[0] = 0
+    order = [0]
+    for i in order:
+        li = level[i]
+        for j in up[i]:
+            if level[j] is None:
+                level[j] = li + 1
+                order.append(j)
+            elif level[j] != li + 1:
+                raise NotRanked(f"inconsistent levels at cover {v[i]!r} -> {v[j]!r}")
+        for j in down[i]:
+            if level[j] is None:
+                level[j] = li - 1
+                order.append(j)
+            elif level[j] != li - 1:
+                raise NotRanked(f"inconsistent levels at cover {v[j]!r} -> {v[i]!r}")
+    low = min(level)
+    rank = {v[i]: level[i] - low for i in order}
     return RankFunction(rank, max(rank.values()))
 
 
@@ -300,8 +300,7 @@ def _rewrite_path(L, path: Path, to_mountain: bool) -> Path:
     L.ensure_modular()
     rank = L.rank_function.rank
     vs = list(path.vertex_sequence())
-    uppers = {v: set(p.ancestors(v)) for v in p.vertices}
-    lowers = {v: set(p.descendants(v)) for v in p.vertices}
+    covers = p.ancestors if to_mountain else p.descendants
 
     while True:
         vs = _erase_loops(vs)
@@ -318,10 +317,7 @@ def _rewrite_path(L, path: Path, to_mountain: bool) -> Path:
                 break
         if j is None:
             break
-        if to_mountain:
-            closers = uppers[vs[j - 1]] & uppers[vs[j + 1]]
-        else:
-            closers = lowers[vs[j - 1]] & lowers[vs[j + 1]]
+        closers = set(covers(vs[j - 1])) & set(covers(vs[j + 1]))
         if len(closers) != 1:
             raise NotRanked("balance failed mid-rewrite; lattice is not modular")
         (u,) = closers

@@ -8,8 +8,9 @@ the pairwise join check, the reference for the sibling-cover check in
 ``as_lattice``, and the postconditions of ``build_J`` / ``build_M``.  So
 do the label-level bodies the library replaced with id-level ones: the
 diamond scan, the per-pair BFS distance, the atom-support Boolean test
-the cubic transitive reduction and the two-factor product built pair by
-pair.
+the cubic transitive reduction, the two-factor product built pair by
+pair, the triple-by-triple distributivity scan and the label-level rank
+BFS.
 """
 
 from collections import deque
@@ -17,6 +18,7 @@ from itertools import permutations
 
 from dclat import (
     EdgeColoredPoset,
+    NotConnected,
     NotConnectedPair,
     NotRanked,
     UnknownVertex,
@@ -25,7 +27,8 @@ from dclat import (
     check_diamond_colored,
     compute_rank,
 )
-from dclat.paths import CheckResult, DiamondWitness
+from dclat.lattice import DistributivityWitness
+from dclat.paths import CheckResult, DiamondWitness, RankFunction
 
 
 def closure_pairs(vertices, cover_pairs):
@@ -326,3 +329,54 @@ def product_by_pairs(a, b):
     covers = [(f"({s},{t1})", f"({s},{t2})", c) for s in a.vertices for t1, t2, c in b.covers]
     covers += [(f"({s1},{t})", f"({s2},{t})", c) for s1, s2, c in a.covers for t in b.vertices]
     return EdgeColoredPoset(vertices, covers)
+
+
+def distributivity_failure_by_triples(view):
+    """First (r, s, t), r-major in id order, failing join-over-meet then meet-over-join."""
+    n = len(view)
+    J = [[view._join_id(r, s) for s in range(n)] for r in range(n)]
+    M = [[view._meet_id(r, s) for s in range(n)] for r in range(n)]
+    v = view.poset.vertices
+    for r in range(n):
+        Jr, Mr = J[r], M[r]
+        for s in range(n):
+            Ms, Js = M[s], J[s]
+            MJrs, JMrs = M[Jr[s]], J[Mr[s]]
+            for t in range(n):
+                if Jr[Ms[t]] != MJrs[Jr[t]]:
+                    return DistributivityWitness(v[r], v[s], v[t], "join-over-meet")
+                if Mr[Js[t]] != JMrs[Mr[t]]:
+                    return DistributivityWitness(v[r], v[s], v[t], "meet-over-join")
+    return None
+
+
+def rank_by_labels(p):
+    """Rank by a label-level BFS from the first vertex, then a pass over every cover."""
+    if len(p) == 0:
+        raise NotConnected("empty poset has no rank function")
+    if not p.is_connected():
+        raise NotConnected("rank functions are only unique on connected posets")
+    level = {p.vertices[0]: 0}
+    queue = deque([p.vertices[0]])
+    while queue:
+        v = queue.popleft()
+        for w in p.ancestors(v):
+            if w in level:
+                if level[w] != level[v] + 1:
+                    raise NotRanked(f"inconsistent levels at cover {v!r} -> {w!r}")
+            else:
+                level[w] = level[v] + 1
+                queue.append(w)
+        for w in p.descendants(v):
+            if w in level:
+                if level[w] != level[v] - 1:
+                    raise NotRanked(f"inconsistent levels at cover {w!r} -> {v!r}")
+            else:
+                level[w] = level[v] - 1
+                queue.append(w)
+    for a, b in ((x, y) for x in p.vertices for y in p.ancestors(x)):
+        if level[b] != level[a] + 1:
+            raise NotRanked(f"inconsistent levels at cover {a!r} -> {b!r}")
+    low = min(level.values())
+    rank = {v: l - low for v, l in level.items()}
+    return RankFunction(rank, max(rank.values()))

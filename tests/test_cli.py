@@ -265,6 +265,8 @@ class TestGoldenOutput:
             (["verify", "fig1L.dcp", "--theorem", "prop12"], "verify-prop12-fig1L.out", 0),
             (["verify", "fig1L.dcp", "--theorem", "prop10", "--with", "m3.dcp"], "verify-prop10-fig1L-m3.out", 0),
             (["transform", "fig1L.dcp", "--op", "product:m3.dcp"], "transform-product-fig1L-m3.out", 0),
+            (["check", "m3xb3.dcp", "--prop", "distributive"], "check-distributive-m3xb3.out", 1),
+            (["check", "n5xhexagon.dcp", "--prop", "distributive"], "check-distributive-n5xhexagon.out", 1),
         ],
     )
     def test_matches_golden(self, capsys, data_dir, argv, golden, exit_code):

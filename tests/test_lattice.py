@@ -1,5 +1,6 @@
 """Lattice recognition, bounds, and the classification predicates."""
 
+import itertools
 import random
 import sys
 import tracemalloc
@@ -36,11 +37,12 @@ from dclat import (
 )
 from dclat import paths
 from dclat.dcp import parse
-from dclat.lattice import _joins_exact
+from dclat.lattice import LatticeView, _joins_exact
 from _oracles import (
     boolean_by_supports,
     bounds_by_scan,
     distributive_by_supports,
+    distributivity_failure_by_triples,
     joins_exact_pairwise,
     modular_by_rank_identity,
 )
@@ -238,6 +240,61 @@ class TestDistributive:
         for L in corpus:
             view = as_lattice(L)
             assert is_distributive_fast(view) == is_distributive(view).ok
+
+
+def _assert_witness_matches_triples(L):
+    witness = is_distributive(as_lattice(L)).witness
+    assert witness == distributivity_failure_by_triples(as_lattice(L))
+    return witness
+
+
+class TestDistributivityWitnessMatchesTriples:
+    """The irreducible-reduced scan names the same first (r, s, t, identity) as the triple scan."""
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_corpus(self, seed):
+        corpus = random_lattices(100, seed=seed) + random_modular_lattices(30, 40, seed=seed)
+        witnesses = [_assert_witness_matches_triples(L) for L in corpus]
+        assert sum(w is not None for w in witnesses) >= 30
+        assert {w.identity for w in witnesses if w is not None} == {"join-over-meet", "meet-over-join"}
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_small_products(self, k):
+        factors = {"m3": m3(), "n5": n5(), "hexagon": hexagon(), "chain2": edge_chain(2)}
+        late = 0
+        for names in itertools.product(factors, repeat=k):
+            L = factors[names[0]]
+            for name in names[1:]:
+                L = cartesian_product(L, factors[name])
+            witness = _assert_witness_matches_triples(L)
+            assert (witness is None) == all(name == "chain2" for name in names)
+            late += witness is not None and L.index_of(witness.r) > 0
+        assert late > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([m3, n5, hexagon, lambda: edge_chain(1)]))
+    def test_random_lattices_and_products(self, seed, factor):
+        for L in random_lattices(7, seed=seed)[5:] + random_modular_lattices(4, 30, seed=seed)[3:]:
+            _assert_witness_matches_triples(L)
+            _assert_witness_matches_triples(cartesian_product(L, factor()))
+
+    def test_probes_fewer_than_the_full_tables(self, monkeypatch):
+        """M3 x B5 first fails at r = 32; the rows read before it are well short of n^2 probes."""
+        L = cartesian_product(m3(), boolean_lattice(5))
+        n = len(L)
+        calls = {"_join_id": 0, "_meet_id": 0}
+        for name in calls:
+
+            def counting(self, i, k, name=name, probe=getattr(LatticeView, name)):
+                calls[name] += 1
+                return probe(self, i, k)
+
+            monkeypatch.setattr(LatticeView, name, counting)
+        witness = is_distributive(as_lattice(L)).witness
+        monkeypatch.undo()
+        assert n == 160 and L.index_of(witness.r) == 32
+        assert calls["_join_id"] < n * n and calls["_meet_id"] < n * n
+        assert witness == distributivity_failure_by_triples(as_lattice(L))
 
 
 def _assert_predicates_match_oracles(L):

@@ -27,6 +27,7 @@ from dclat import (
     ascent_descent_counts,
     as_lattice,
     boolean_lattice,
+    cartesian_product,
     check_diamond_colored,
     check_topographically_balanced,
     compute_rank,
@@ -35,6 +36,7 @@ from dclat import (
     distance_modular,
     is_modular,
     mountainize,
+    random_poset,
     rank_via_path,
     valleyize,
     verify_path_colors,
@@ -42,7 +44,7 @@ from dclat import (
 )
 from dclat.paths import _bfs
 from dclat.structures import EdgeColoredPoset
-from _oracles import diamond_by_labels, distance_by_pair_bfs, rank_assignments
+from _oracles import diamond_by_labels, distance_by_pair_bfs, rank_assignments, rank_by_labels
 
 
 class TestPathBasics:
@@ -119,6 +121,54 @@ class TestRank:
         broken["c2"] += 1
         with pytest.raises(NotRanked):
             RankFunction(broken, rf.length).validate(p)
+
+
+def _rank_outcome(compute, p):
+    try:
+        rf = compute(p)
+    except (NotConnected, NotRanked) as e:
+        return type(e), str(e)
+    return list(rf.rank.items()), rf.length
+
+
+class TestRankMatchesLabelBfs:
+    """The id-level BFS gives the label-level BFS's ranks, in its order, and its first error."""
+
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_corpus(self, seed):
+        rng = random.Random(seed)
+        lattices = (
+            random_lattices(60, seed=seed)
+            + random_modular_lattices(20, 40, seed=seed)
+            + random_distributive_lattices(20, 40, seed=seed)
+        )
+        posets = random_vertex_posets(60, 8, seed=seed)
+        # shuffled ids move the BFS start and its order
+        shuffled = []
+        for L in lattices[:30]:
+            verts = list(L.vertices)
+            rng.shuffle(verts)
+            shuffled.append(EdgeColoredPoset(verts, L.covers))
+        outcomes = [_rank_outcome(compute_rank, p) for p in lattices + posets + shuffled]
+        assert outcomes == [_rank_outcome(rank_by_labels, p) for p in lattices + posets + shuffled]
+        kinds = {o[0] if isinstance(o[0], type) else "ranked" for o in outcomes}
+        assert kinds == {"ranked", NotRanked, NotConnected}
+
+    def test_unranked_posets(self):
+        unranked = [n5(), cartesian_product(n5(), edge_chain(2)), cartesian_product(edge_chain(1), n5())]
+        for L in random_lattices(200, seed=11):
+            if _rank_outcome(rank_by_labels, L)[0] is NotRanked:
+                unranked.append(L)
+        assert len(unranked) >= 20
+        for p in unranked:
+            outcome = _rank_outcome(compute_rank, p)
+            assert outcome == _rank_outcome(rank_by_labels, p) and outcome[0] is NotRanked
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.floats(0.05, 0.95), st.integers(0, 1 << 30))
+    def test_random_posets(self, n, density, seed):
+        p = random_poset(n, density, seed=seed)
+        assert _rank_outcome(compute_rank, p) == _rank_outcome(rank_by_labels, p)
 
 
 class TestRankViaPath:
@@ -319,6 +369,30 @@ class TestRewrites:
                 down = valleyize(view, walk)
                 assert up.length == walk.length and up.apex() == view.join(s, t)
                 assert down.length == walk.length and down.nadir() == view.meet(s, t)
+
+
+    def test_one_step_reads_only_the_two_neighbors(self, monkeypatch):
+        """A rewrite step reads the covers of the two path neighbours, not of the whole lattice."""
+        b10 = boolean_lattice(10)
+        view = as_lattice(b10)
+        view.ensure_modular()
+        view.rank_function
+        reads = []
+
+        def reading(covers):
+            def read(self, x):
+                reads.append(x)
+                return covers(self, x)
+
+            return read
+
+        for name in ("ancestors", "descendants"):
+            monkeypatch.setattr(EdgeColoredPoset, name, reading(getattr(EdgeColoredPoset, name)))
+        up = mountainize(view, Path.from_vertices(b10, ["a0", "empty", "a1"]))
+        down = valleyize(view, Path.from_vertices(b10, ["a0", "a0.a1", "a1"]))
+        assert up.vertex_sequence() == ("a0", "a0.a1", "a1")
+        assert down.vertex_sequence() == ("a0", "empty", "a1")
+        assert reads == ["a0", "a1", "a0", "a1"]
 
 
 def _shortest_walk(L, s, t, rng):
