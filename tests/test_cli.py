@@ -267,6 +267,16 @@ class TestGoldenOutput:
             (["transform", "fig1L.dcp", "--op", "product:m3.dcp"], "transform-product-fig1L-m3.out", 0),
             (["check", "m3xb3.dcp", "--prop", "distributive"], "check-distributive-m3xb3.out", 1),
             (["check", "n5xhexagon.dcp", "--prop", "distributive"], "check-distributive-n5xhexagon.out", 1),
+            (["parse", "fig1P.dcp"], "parse-fig1P.out", 0),
+            (["parse", "fig1L.dcp"], "parse-fig1L.out", 0),
+            (["render", "fig1P.dcp", "--format", "dot"], "render-dot-fig1P.out", 0),
+            (["render", "fig1L.dcp", "--format", "dot"], "render-dot-fig1L.out", 0),
+            (["transform", "fig1P.dcp", "--op", "dual"], "transform-dual-fig1P.out", 0),
+            (["transform", "fig1L.dcp", "--op", "dual"], "transform-dual-fig1L.out", 0),
+            (["transform", "fig1P.dcp", "--op", "recolor:1=3,2=4"], "transform-recolor-fig1P.out", 0),
+            (["transform", "fig1L.dcp", "--op", "recolor:1=3,2=4"], "transform-recolor-fig1L.out", 0),
+            (["transform", "fig5P1.dcp", "--op", "sum:fig5P2.dcp"], "transform-sum-fig5P1-fig5P2.out", 0),
+            (["transform", "m3.dcp", "--op", "sum:m3.dcp"], "transform-sum-m3-m3.out", 0),
         ],
     )
     def test_matches_golden(self, capsys, data_dir, argv, golden, exit_code):

@@ -126,6 +126,36 @@ class TestDual:
         assert ("v1*", "v2*") in d.covers
 
 
+@pytest.fixture(params=["vertex", "edge"])
+def either_kind(request, fig_poset, fig_lattice):
+    return fig_poset if request.param == "vertex" else fig_lattice
+
+
+class TestKindAgnosticOperations:
+    """Dual, relabel and equality behave the same on both structure kinds."""
+
+    def test_double_dual_is_equal_with_equal_hash(self, either_kind):
+        back = dual(dual(either_kind))
+        assert back == either_kind and hash(back) == hash(either_kind)
+        assert dual(either_kind) != either_kind
+
+    def test_relabel_round_trips(self, either_kind):
+        forward = {v: f"x{i}" for i, v in enumerate(either_kind.vertices)}
+        moved = either_kind.relabel(forward)
+        assert moved.vertices == tuple(forward.values())
+        assert len(moved.covers) == len(either_kind.covers)
+        assert moved.colors_used == either_kind.colors_used
+        back = moved.relabel({w: v for v, w in forward.items()})
+        assert back == either_kind and hash(back) == hash(either_kind)
+
+    def test_differs_from_the_other_kind(self, either_kind):
+        one_vertex = [VertexColoredPoset(["a"], [], {"a": 0}), EdgeColoredPoset(["a"], [])]
+        same, other = one_vertex if isinstance(either_kind, VertexColoredPoset) else one_vertex[::-1]
+        assert same.vertices == other.vertices and not same.covers and not other.covers
+        assert same != other and other != same
+        assert either_kind != other and either_kind != "not a structure"
+
+
 class TestRecolor:
     def test_identity(self, fig_lattice):
         sigma = {c: c for c in fig_lattice.colors_used}
