@@ -37,7 +37,7 @@ from .structures import (
 
 # Memory roughly triples per doubling: build_J on an antichain takes 153 MB
 # at 2^14 elements, 403 MB at 2^15 and 1236 MB at 2^16.
-DEFAULT_ELEMENT_CAP = 1 << 16
+ELEMENT_CAP = 1 << 16
 
 
 def _unique_labels(raw: list[str]) -> list[str]:
@@ -101,27 +101,25 @@ def _subset_label(P: VertexColoredPoset, mask: int) -> str:
     return ".".join(P.vertices[i] for i in _bits(mask))
 
 
-def enumerate_ideal_masks(P: VertexColoredPoset, cap: int = DEFAULT_ELEMENT_CAP) -> list[int]:
+def enumerate_ideal_masks(P: VertexColoredPoset) -> list[int]:
     """All order ideals of P as bitmasks, ascending.
 
     Extends the ideals of a growing prefix of a linear extension; a vertex
     may enter only once its lower covers are present.  The family never
-    shrinks, so the extension stops as soon as it passes the cap.
+    shrinks, so the extension stops as soon as it passes ``ELEMENT_CAP``.
     """
     down, _ = P._cover_masks()
     out = [0]
     for v in P._at:  # topological ids
-        if len(out) > cap:
-            break
         need, bit = down[v], 1 << v
         out += [m | bit for m in out if m & need == need]
-    if len(out) > cap:
-        raise SizeCapExceeded(f"ideal count exceeds cap {cap}")
+        if len(out) > ELEMENT_CAP:
+            raise SizeCapExceeded(f"ideal count exceeds cap {ELEMENT_CAP}")
     out.sort()
     return out
 
 
-def _subset_lattice(P: VertexColoredPoset, mode: str, cap: int) -> IdealLattice:
+def _subset_lattice(P: VertexColoredPoset, mode: str) -> IdealLattice:
     """Ideal (mode "ideal") or filter (mode "filter") lattice of P.
 
     A filter is the complement of an ideal, so both families step upward by
@@ -129,7 +127,7 @@ def _subset_lattice(P: VertexColoredPoset, mode: str, cap: int) -> IdealLattice:
     the ideal grows by it, the filter loses it.
     """
     flip = 0 if mode == "ideal" else (1 << len(P)) - 1
-    masks = sorted(m ^ flip for m in enumerate_ideal_masks(P, cap))
+    masks = sorted(m ^ flip for m in enumerate_ideal_masks(P))
     labels = _unique_labels([_subset_label(P, m) for m in masks])
     label_of = dict(zip(masks, labels))
     down, _ = P._cover_masks()
@@ -143,24 +141,24 @@ def _subset_lattice(P: VertexColoredPoset, mode: str, cap: int) -> IdealLattice:
     return IdealLattice(P, mode, masks, EdgeColoredPoset(labels, covers))
 
 
-def build_J(P: VertexColoredPoset, cap: int = DEFAULT_ELEMENT_CAP) -> IdealLattice:
+def build_J(P: VertexColoredPoset) -> IdealLattice:
     """The diamond-colored distributive lattice of order ideals of P.
 
     Ideals are ordered by containment; x -> y exactly when y adds one
     vertex, maximal in y, and the edge takes that vertex's color.  Nothing
     is validated: see :class:`IdealLattice`.
     """
-    return _subset_lattice(P, "ideal", cap)
+    return _subset_lattice(P, "ideal")
 
 
-def build_M(P: VertexColoredPoset, cap: int = DEFAULT_ELEMENT_CAP) -> IdealLattice:
+def build_M(P: VertexColoredPoset) -> IdealLattice:
     """The diamond-colored distributive lattice of filters of P.
 
     Filters are ordered by reverse containment; x -> y exactly when x drops
     one of its minimal vertices, and the edge takes that vertex's color.
     As for :func:`build_J`, nothing is validated again.
     """
-    return _subset_lattice(P, "filter", cap)
+    return _subset_lattice(P, "filter")
 
 
 def principal_ideal(P: VertexColoredPoset, v: str) -> frozenset[str]:
@@ -329,37 +327,44 @@ def verify_transform_identities(
     def iso(a, b) -> bool:
         return find_isomorphism(a, b) is not None
 
-    JP, JQ = build_J(P), build_J(Q)
-    MP = build_M(P)
-    report.record("ideals of the dual = dual of the ideals",
-                  iso(build_J(dual(P)).lattice, dual(JP.lattice)))
-    report.record("ideals of a recoloring = recoloring of the ideals",
-                  iso(build_J(recolor(P, sigma)).lattice, recolor(JP.lattice, sigma)))
-    report.record("ideals of a disjoint sum = product of the ideals",
-                  iso(build_J(disjoint_sum(P, Q)).lattice, cartesian_product(JP.lattice, JQ.lattice)))
-    report.record("filters of the dual = dual of the filters",
-                  iso(build_M(dual(P)).lattice, dual(MP.lattice)))
-    report.record("filters of a recoloring = recoloring of the filters",
-                  iso(build_M(recolor(P, sigma)).lattice, recolor(MP.lattice, sigma)))
-    report.record("filters of a disjoint sum = product of the filters",
-                  iso(build_M(disjoint_sum(P, Q)).lattice, cartesian_product(MP.lattice, build_M(Q).lattice)))
+    def irreducibles_after(label: str, ideals: EdgeColoredPoset, K: EdgeColoredPoset):
+        """Record whether ``ideals`` and ``K`` are isomorphic; return K's join and meet irreducibles."""
+        report.record(label, iso(ideals, K))
+        view = as_lattice(K)  # one view serves both extractions, and K is dropped after them
+        return extract_j(view).poset, extract_m(view).poset
 
+    # each transform is built once; the sum's ideals precede the product, so past the cap they fail first
+    JP, JQ, MP = build_J(P), build_J(Q), build_M(P)
     L = JP.lattice
-    product = cartesian_product(L, JQ.lattice)
+    j_dual, m_dual = irreducibles_after(
+        "ideals of the dual = dual of the ideals", build_J(dP := dual(P)).lattice, dual(L))
+    j_recolor, m_recolor = irreducibles_after(
+        "ideals of a recoloring = recoloring of the ideals",
+        build_J(rP := recolor(P, sigma)).lattice, recolor(L, sigma))
+    j_product, m_product = irreducibles_after(
+        "ideals of a disjoint sum = product of the ideals",
+        build_J(PQ := disjoint_sum(P, Q)).lattice, cartesian_product(L, JQ.lattice))
+    report.record("filters of the dual = dual of the filters",
+                  iso(build_M(dP).lattice, dual(MP.lattice)))
+    report.record("filters of a recoloring = recoloring of the filters",
+                  iso(build_M(rP).lattice, recolor(MP.lattice, sigma)))
+    report.record("filters of a disjoint sum = product of the filters",
+                  iso(build_M(PQ).lattice, cartesian_product(MP.lattice, build_M(Q).lattice)))
+
     jL, jK = extract_j(JP).poset, extract_j(JQ).poset
     mL, mK = extract_m(JP).poset, extract_m(JQ).poset
     report.record("join irreducibles of the dual = dual of the join irreducibles",
-                  iso(extract_j(dual(L)).poset, dual(jL)))
+                  iso(j_dual, dual(jL)))
     report.record("join irreducibles of a recoloring = recoloring of join irreducibles",
-                  iso(extract_j(recolor(L, sigma)).poset, recolor(jL, sigma)))
+                  iso(j_recolor, recolor(jL, sigma)))
     report.record("join irreducibles of a product = disjoint sum of join irreducibles",
-                  iso(extract_j(product).poset, disjoint_sum(jL, jK)))
+                  iso(j_product, disjoint_sum(jL, jK)))
     report.record("meet irreducibles of the dual = dual of meet irreducibles",
-                  iso(extract_m(dual(L)).poset, dual(mL)))
+                  iso(m_dual, dual(mL)))
     report.record("meet irreducibles of a recoloring = recoloring of meet irreducibles",
-                  iso(extract_m(recolor(L, sigma)).poset, recolor(mL, sigma)))
+                  iso(m_recolor, recolor(mL, sigma)))
     report.record("meet irreducibles of a product = disjoint sum of meet irreducibles",
-                  iso(extract_m(product).poset, disjoint_sum(mL, mK)))
+                  iso(m_product, disjoint_sum(mL, mK)))
     return report
 
 

@@ -105,21 +105,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _load(path: str):
-    return dcp.parse(_read(path))
+_KIND_NAMES = {EdgeColoredPoset: "an edge-lattice", VertexColoredPoset: "a vertex-poset"}
 
 
-def _load_lattice(path: str) -> EdgeColoredPoset:
-    s = _load(path)
-    if not isinstance(s, EdgeColoredPoset):
-        raise ValidationError(f"{path}: expected an edge-lattice document")
-    return s
-
-
-def _load_poset(path: str) -> VertexColoredPoset:
-    s = _load(path)
-    if not isinstance(s, VertexColoredPoset):
-        raise ValidationError(f"{path}: expected a vertex-poset document")
+def _load(path: str, kind: type | None = None):
+    s = dcp.parse(_read(path))
+    if kind is not None and not isinstance(s, kind):
+        raise ValidationError(f"{path}: expected {_KIND_NAMES[kind]} document")
     return s
 
 
@@ -171,7 +163,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    structure = _load_lattice(args.file)
+    structure = _load(args.file, EdgeColoredPoset)
     prop = args.prop
     if prop == "ranked":
         try:
@@ -229,7 +221,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_dist(args) -> int:
-    structure = _load_lattice(args.file)
+    structure = _load(args.file, EdgeColoredPoset)
     d = paths.distance(structure, getattr(args, "from"), args.to)
     comparable = structure.leq(getattr(args, "from"), args.to) or structure.leq(
         args.to, getattr(args, "from")
@@ -249,18 +241,18 @@ def _cmd_dist(args) -> int:
 
 def _cmd_birkhoff(args) -> int:
     if args.op in ("J", "M"):
-        poset = _load_poset(args.file)
+        poset = _load(args.file, VertexColoredPoset)
         build = birkhoff.build_J if args.op == "J" else birkhoff.build_M
         sys.stdout.write(dcp.emit(build(poset).lattice))
         return 0
-    structure = _load_lattice(args.file)
+    structure = _load(args.file, EdgeColoredPoset)
     extract = birkhoff.extract_j if args.op == "j" else birkhoff.extract_m
     sys.stdout.write(dcp.emit(extract(structure).poset))
     return 0
 
 
 def _cmd_components(args) -> int:
-    structure = _load_lattice(args.file)
+    structure = _load(args.file, EdgeColoredPoset)
     colors = _parse_colors(args.colors)
     try:
         view = lattice.as_lattice(structure)
@@ -277,7 +269,7 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_subordinates(args) -> int:
-    poset = _load_poset(args.file)
+    poset = _load(args.file, VertexColoredPoset)
     colors = _parse_colors(args.colors)
     subs = substructure.enumerate_subordinates(poset, colors)
     for idx, sub in enumerate(subs, start=1):
@@ -295,7 +287,7 @@ def _cmd_transform(args) -> int:
     elif op.startswith("recolor:"):
         out = recolor(structure, _parse_sigma(op.split(":", 1)[1]))
     elif op.startswith("product:"):
-        other = _load_lattice(op.split(":", 1)[1])
+        other = _load(op.split(":", 1)[1], EdgeColoredPoset)
         if not isinstance(structure, EdgeColoredPoset):
             raise ValidationError("product requires edge-lattice inputs")
         out = cartesian_product(structure, other)
@@ -322,7 +314,7 @@ def _cmd_verify(args) -> int:
             return _report_exit(birkhoff.verify_fundamental_poset(structure))
         return _report_exit(birkhoff.verify_fundamental(structure))
     if theorem == "cor7":
-        structure = _load_lattice(args.file)
+        structure = _load(args.file, EdgeColoredPoset)
         ok, witness = birkhoff.is_birkhoff_representable(structure)
         if ok:
             print("diamond-colored: representable; witness poset follows")
@@ -331,16 +323,16 @@ def _cmd_verify(args) -> int:
         print("not diamond-colored: not representable")
         return 1
     if theorem == "cor8":
-        P = _load_poset(args.file)
-        Q = _load_poset(getattr(args, "with")) if getattr(args, "with") else P
+        P = _load(args.file, VertexColoredPoset)
+        Q = _load(getattr(args, "with"), VertexColoredPoset) if getattr(args, "with") else P
         used = sorted(P.colors_used | Q.colors_used)
         sigma = _parse_sigma(args.sigma) if args.sigma else {c: c for c in used}
         return _report_exit(birkhoff.verify_transform_identities(P, Q, sigma))
     if theorem == "prop1":
-        structure = _load_lattice(args.file)
+        structure = _load(args.file, EdgeColoredPoset)
         return _report_exit(_verify_distance_laws(structure, args.seed))
     if theorem == "prop3":
-        structure = _load_lattice(args.file)
+        structure = _load(args.file, EdgeColoredPoset)
         view = lattice.as_lattice(structure)
         reports = paths.verify_path_colors_all(view)
         bad = [r for r in reports if not r.passed]
@@ -349,19 +341,19 @@ def _cmd_verify(args) -> int:
             print(f"{status} paths {r.s} -> {r.t}: {r.path_count} paths, colors {list(r.color_multiset)}")
         return 1 if bad else 0
     if theorem == "prop10":
-        left = _load_lattice(args.file)
-        right = _load_lattice(getattr(args, "with")) if getattr(args, "with") else left
+        left = _load(args.file, EdgeColoredPoset)
+        right = _load(getattr(args, "with"), EdgeColoredPoset) if getattr(args, "with") else left
         pv = substructure.ProductView([left, right])
         return _report_exit(substructure.verify_product_closure([left, right], pv.poset.vertices))
     if theorem == "prop12":
-        structure = _load_lattice(args.file)
+        structure = _load(args.file, EdgeColoredPoset)
         return _report_exit(_verify_interval_booleans(structure))
     if theorem == "prop13":
-        structure = _load_lattice(args.file)
+        structure = _load(args.file, EdgeColoredPoset)
         return _report_exit(substructure.verify_component_structure(structure))
     if theorem == "thm11":
-        P = _load_poset(args.file)
-        Q = _load_poset(getattr(args, "with")) if getattr(args, "with") else P
+        P = _load(args.file, VertexColoredPoset)
+        Q = _load(getattr(args, "with"), VertexColoredPoset) if getattr(args, "with") else P
         emb = substructure.sublattice_from_weak_subposet(P, Q)
         report = substructure.verify_full_length_agreement(emb.embedding)
         recovery = substructure.weak_subposet_from_sublattice(
@@ -372,7 +364,7 @@ def _cmd_verify(args) -> int:
                 print(line)
         return 0 if report.passed and recovery.report.passed else 1
     if theorem == "subord":
-        P = _load_poset(args.file)
+        P = _load(args.file, VertexColoredPoset)
         palette = sorted(P.colors_used)
         ok = True
         for mask in range(1 << len(palette)):

@@ -169,53 +169,45 @@ def _safe_labels(structure: Structure) -> dict[str, str]:
     return mapping
 
 
+def _colored(structure: Structure) -> tuple[str, list, list]:
+    """Kind, (name, color) per vertex and (lower, upper, color) per cover, in id order.
+
+    Names are DCP-safe; the side a kind leaves uncolored has color None.
+    """
+    names = list(map(_safe_labels(structure).__getitem__, structure.vertices))
+    if isinstance(structure, VertexColoredPoset):
+        kind, vertex_color, edge_color = KINDS[0], structure.colors, {}
+    else:
+        kind, vertex_color, edge_color = KINDS[1], {}, structure._edge_color
+    vertices = [(name, vertex_color.get(v)) for name, v in zip(names, structure.vertices)]
+    covers = [(names[a], names[b], edge_color.get((a, b))) for a, b in sorted(structure._cover_pairs)]
+    return kind, vertices, covers
+
+
 def emit(structure: Structure) -> str:
     """Canonical DCP text: vertices in id order, edges sorted."""
-    safe = _safe_labels(structure)
-    lines = []
-    if isinstance(structure, VertexColoredPoset):
-        lines.append("type vertex-poset")
-        for v in structure.vertices:
-            lines.append(f"vertex {safe[v]} color {structure.colors[v]}")
-        order = structure.index_of
-        for a, b in sorted(structure.covers, key=lambda e: (order(e[0]), order(e[1]))):
-            lines.append(f"edge {safe[a]} {safe[b]}")
-    else:
-        lines.append("type edge-lattice")
-        for v in structure.vertices:
-            lines.append(f"vertex {safe[v]}")
-        order = structure.index_of
-        for a, b, c in sorted(structure.covers, key=lambda e: (order(e[0]), order(e[1]), e[2])):
-            lines.append(f"edge {safe[a]} {safe[b]} color {c}")
+    kind, vertices, covers = _colored(structure)
+    lines = [f"type {kind}"]
+    lines += [f"vertex {v}" if c is None else f"vertex {v} color {c}" for v, c in vertices]
+    lines += [f"edge {a} {b}" if c is None else f"edge {a} {b} color {c}" for a, b, c in covers]
     return "\n".join(lines) + "\n"
 
 
 def render_dot(structure: Structure) -> str:
     """Deterministic Graphviz digraph; rank levels are grouped when ranked."""
-    safe = _safe_labels(structure)
+    _, vertices, covers = _colored(structure)
     lines = ["digraph poset {", "  rankdir=BT;", '  node [shape=ellipse, fontsize=10];']
-    if isinstance(structure, VertexColoredPoset):
-        for v in structure.vertices:
-            lines.append(f'  "{safe[v]}" [label="{safe[v]}:{structure.colors[v]}"];')
-    else:
-        for v in structure.vertices:
-            lines.append(f'  "{safe[v]}" [label="{safe[v]}"];')
+    lines += [f'  "{v}" [label="{v}"];' if c is None else f'  "{v}" [label="{v}:{c}"];' for v, c in vertices]
     try:
         ranks = compute_rank(structure)
         by_level: dict[int, list[str]] = {}
-        for v in structure.vertices:
-            by_level.setdefault(ranks.rank[v], []).append(v)
+        for v, (name, _) in zip(structure.vertices, vertices):
+            by_level.setdefault(ranks.rank[v], []).append(name)
         for level in sorted(by_level):
-            row = "; ".join(f'"{safe[v]}"' for v in by_level[level])
+            row = "; ".join(f'"{name}"' for name in by_level[level])
             lines.append(f"  {{ rank=same; {row}; }}")
     except Exception:
         pass
-    order = structure.index_of
-    if isinstance(structure, VertexColoredPoset):
-        for a, b in sorted(structure.covers, key=lambda e: (order(e[0]), order(e[1]))):
-            lines.append(f'  "{safe[a]}" -> "{safe[b]}";')
-    else:
-        for a, b, c in sorted(structure.covers, key=lambda e: (order(e[0]), order(e[1]), e[2])):
-            lines.append(f'  "{safe[a]}" -> "{safe[b]}" [label="{c}"];')
+    lines += [f'  "{a}" -> "{b}";' if c is None else f'  "{a}" -> "{b}" [label="{c}"];' for a, b, c in covers]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ desk scale.
 from __future__ import annotations
 
 from .errors import ValidationError
-from .structures import EdgeColoredPoset, Structure, VertexColoredPoset
+from .structures import Structure, VertexColoredPoset
 
 
 class _Graph:
@@ -19,25 +19,24 @@ class _Graph:
     def __init__(self, p: Structure):
         n = len(p)
         self.n = n
-        self.nbrs = [dict() for _ in range(n)]  # key -> frozenset of node ids
         self.adj = [[] for _ in range(n)]  # list of (other, key)
-        if isinstance(p, EdgeColoredPoset):
-            self.init_label = [0] * n
-            for a, b, c in p.covers:
-                ia, ib = p.index_of(a), p.index_of(b)
-                self.adj[ia].append((ib, ("u", c)))
-                self.adj[ib].append((ia, ("d", c)))
-        else:
+        # (lower id, upper id) -> color; the covers of a vertex poset get color 0
+        if isinstance(p, VertexColoredPoset):
             self.init_label = [("v", p.colors[v]) for v in p.vertices]
-            for a, b in p.covers:
-                ia, ib = p.index_of(a), p.index_of(b)
-                self.adj[ia].append((ib, ("u", 0)))
-                self.adj[ib].append((ia, ("d", 0)))
-        for i in range(n):
+            edges = dict.fromkeys(p._cover_pairs, 0)
+        else:
+            self.init_label = [0] * n
+            edges = p._edge_color
+        self.cover_colors = sorted(edges.values())
+        for (ia, ib), c in edges.items():
+            self.adj[ia].append((ib, ("u", c)))
+            self.adj[ib].append((ia, ("d", c)))
+        self.nbrs = []  # per node: key -> frozenset of node ids
+        for adj in self.adj:
             buckets = {}
-            for j, key in self.adj[i]:
+            for j, key in adj:
                 buckets.setdefault(key, set()).add(j)
-            self.nbrs[i] = {k: frozenset(v) for k, v in buckets.items()}
+            self.nbrs.append({k: frozenset(v) for k, v in buckets.items()})
 
 
 def _joint_refine(ga: _Graph, gb: _Graph):
@@ -59,17 +58,11 @@ def _joint_refine(ga: _Graph, gb: _Graph):
             out.append(canon[sig])
         return out
 
-    def histogram(labels):
-        h = {}
-        for x in labels:
-            h[x] = h.get(x, 0) + 1
-        return h
-
     for _ in range(max(ga.n, 1)):
         canon.clear()
         na = norm(la, ga)
         nb = norm(lb, gb)
-        if histogram(na) != histogram(nb):
+        if sorted(na) != sorted(nb):  # class histograms differ
             return None
         stable = len(set(na)) == len(set(la)) and len(set(nb)) == len(set(lb))
         la, lb = na, nb
@@ -92,19 +85,12 @@ def find_isomorphism(a: Structure, b: Structure) -> dict[str, str] | None:
         raise ValidationError("isomorphism requires two structures of the same kind")
     if len(a) != len(b):
         return None
-    if isinstance(a, EdgeColoredPoset):
-        ca = {}
-        for _, _, c in a.covers:
-            ca[c] = ca.get(c, 0) + 1
-        cb = {}
-        for _, _, c in b.covers:
-            cb[c] = cb.get(c, 0) + 1
-        if ca != cb:
-            return None
     if len(a) == 0:
         return {}
 
     ga, gb = _Graph(a), _Graph(b)
+    if ga.cover_colors != gb.cover_colors:
+        return None
     refined = _joint_refine(ga, gb)
     if refined is None:
         return None
@@ -193,13 +179,9 @@ def find_isomorphism(a: Structure, b: Structure) -> dict[str, str] | None:
 def _verify_witness(a: Structure, b: Structure, witness: dict[str, str]) -> bool:
     if sorted(witness) != sorted(a.vertices) or sorted(witness.values()) != sorted(b.vertices):
         return False
-    if isinstance(a, EdgeColoredPoset):
-        mapped = {(witness[x], witness[y], c) for x, y, c in a.covers}
-        return mapped == set(b.covers)
-    mapped = {(witness[x], witness[y]) for x, y in a.covers}
-    if mapped != set(b.covers):
-        return False
-    return all(b.colors[witness[v]] == c for v, c in a.colors.items())
+    # covers as a set and vertex colors as a dict: the vertex order may differ
+    _, covers, *colors = a._mapped(witness)
+    return (set(covers), *colors) == b._key()[1:]
 
 
 def isomorphic(a: Structure, b: Structure) -> bool:

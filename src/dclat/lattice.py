@@ -21,7 +21,7 @@ from typing import Iterable, NamedTuple
 
 from .errors import IncomparableEndpoints, NotALattice, NotModular
 from .paths import CheckResult, check_diamond_colored, check_topographically_balanced, compute_rank
-from .structures import EdgeColoredPoset
+from .structures import EdgeColoredPoset, _bits
 
 
 class LatticeView:
@@ -106,8 +106,9 @@ class LatticeView:
         """Induced subposet on {x : s <= x <= t}."""
         if not self.leq(s, t):
             raise IncomparableEndpoints(f"{s!r} is not below {t!r}")
-        labels = [x for x in self.poset.vertices if self.leq(s, x) and self.leq(x, t)]
-        return self.poset.induced(labels)
+        p = self.poset
+        members = p._up[p.index_of(s)] & p._down[p.index_of(t)]
+        return p.induced(p.vertices[p._at[pos]] for pos in _bits(members))
 
     def join_irreducibles(self) -> tuple[str, ...]:
         """Elements covering exactly one other element, in id order."""

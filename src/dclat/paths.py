@@ -23,7 +23,10 @@ from .errors import (
     NotRanked,
     ValidationError,
 )
-from .structures import Color, EdgeColoredPoset, _HasseCore
+from .structures import Color, EdgeColoredPoset, _HasseCore, _bits
+
+PATH_CAP = 100_000  # most ascending paths verify_path_colors lists between two elements
+PATH_PAIR_CAP = 4_000_000  # most ordered pairs of those paths it compares
 
 
 class Step(NamedTuple):
@@ -363,35 +366,34 @@ class PathColorReport:
         return self.multiset_ok and self.incomparable_ok
 
 
-def _ascending_paths(L, s: str, t: str, cap: int) -> list[tuple[tuple[str, ...], tuple[Color, ...]]]:
+def _ascending_paths(L, s: str, t: str) -> list[tuple[tuple[str, ...], tuple[Color, ...]]]:
     p = L.poset
     if not p.leq(s, t):
         raise IncomparableEndpoints(f"{s!r} is not below {t!r}")
-    counts: dict[str, int] = {t: 1}
-
-    def count(v: str) -> int:
-        if v not in counts:
-            counts[v] = sum(count(u) for u, _ in p.up_steps(v) if p.leq(u, t))
-        return counts[v]
-
-    total = count(s)
-    if total > cap:
-        raise EnumerationCapExceeded(f"{total} ascending paths exceed cap {cap}")
+    # paths from each id of [s, t] up to t, counted in reverse topological order
+    si, ti = p.index_of(s), p.index_of(t)
+    counts: dict[int, int] = {}
+    for pos in reversed(list(_bits(p._up[si] & p._down[ti]))):
+        i = p._at[pos]
+        counts[i] = 1 if i == ti else sum(counts.get(j, 0) for j in p._up_adj[i])
+    total = counts[si]
+    if total > PATH_CAP:
+        raise EnumerationCapExceeded(f"{total} ascending paths exceed cap {PATH_CAP}")
     out: list[tuple[tuple[str, ...], tuple[Color, ...]]] = []
-    stack = [(s, (s,), ())]
+    stack = [(si, (s,), ())]
     while stack:
-        v, verts, colors = stack.pop()
-        if v == t:
+        i, verts, colors = stack.pop()
+        if i == ti:
             out.append((verts, colors))
             continue
-        for u, c in reversed(p.up_steps(v)):
-            if p.leq(u, t):
-                stack.append((u, verts + (u,), colors + (c,)))
+        for j, c in reversed(p._up_steps[i]):
+            if j in counts:  # j lies in [s, t]
+                stack.append((j, verts + (p.vertices[j],), colors + (c,)))
     out.sort()
     return out
 
 
-def verify_path_colors(L, s: str, t: str, cap: int = 100_000, pair_cap: int = 4_000_000) -> PathColorReport:
+def verify_path_colors(L, s: str, t: str) -> PathColorReport:
     """Check that all ascending paths s -> t agree in length and color multiset.
 
     Additionally, whenever the second vertex of one path is incomparable to
@@ -401,7 +403,7 @@ def verify_path_colors(L, s: str, t: str, cap: int = 100_000, pair_cap: int = 4_
     if not L.diamond.ok:
         raise NotDiamondColored(f"diamond violation at {L.diamond.witness}")
     L.ensure_modular()
-    paths = _ascending_paths(L, s, t, cap)
+    paths = _ascending_paths(L, s, t)
     report = PathColorReport(
         s, t, len(paths), tuple(sorted(paths[0][1])) if paths else ()
     )
@@ -409,9 +411,9 @@ def verify_path_colors(L, s: str, t: str, cap: int = 100_000, pair_cap: int = 4_
         if tuple(sorted(colors)) != report.color_multiset:
             report.multiset_ok = False
             return report
-    if len(paths) ** 2 > pair_cap:
+    if len(paths) ** 2 > PATH_PAIR_CAP:
         raise EnumerationCapExceeded(
-            f"{len(paths)}^2 ordered path pairs exceed cap {pair_cap}"
+            f"{len(paths)}^2 ordered path pairs exceed cap {PATH_PAIR_CAP}"
         )
     p = L.poset
     for verts_a, colors_a in paths:
@@ -431,12 +433,12 @@ def verify_path_colors(L, s: str, t: str, cap: int = 100_000, pair_cap: int = 4_
     return report
 
 
-def verify_path_colors_all(L, cap: int = 100_000) -> list[PathColorReport]:
+def verify_path_colors_all(L) -> list[PathColorReport]:
     """Run verify_path_colors over every ordered pair s <= t."""
     p = L.poset
     reports = []
     for s in p.vertices:
         for t in p.vertices:
             if p.leq(s, t):
-                reports.append(verify_path_colors(L, s, t, cap=cap))
+                reports.append(verify_path_colors(L, s, t))
     return reports

@@ -223,6 +223,25 @@ class _HasseCore:
     def is_connected(self) -> bool:
         return len(self.connected_components()) <= 1
 
+    # -- operations shared by both kinds -----------------------------------
+    # Each kind's ``_mapped(label, color=None, flip=False)`` returns its
+    # constructor arguments with every label v replaced by ``label[v]``, every
+    # color c by ``color[c]`` unless ``color`` is None, and each cover
+    # reversed when ``flip`` is set; its ``_key()`` returns what equality
+    # compares.
+
+    def relabel(self, mapping: Mapping[str, str]) -> "Structure":
+        return type(self)(*self._mapped(mapping))
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash((self.vertices, self.covers))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({len(self)} vertices, {len(self.covers)} covers)"
+
 
 class VertexColoredPoset(_HasseCore):
     """Poset with a color attached to every vertex."""
@@ -273,26 +292,16 @@ class VertexColoredPoset(_HasseCore):
         covers = [(self.vertices[a], self.vertices[b]) for a, b in pairs]
         return VertexColoredPoset(keep, covers, {v: self.colors[v] for v in keep})
 
-    def relabel(self, mapping: Mapping[str, str]) -> "VertexColoredPoset":
-        return VertexColoredPoset(
-            [mapping[v] for v in self.vertices],
-            [(mapping[a], mapping[b]) for a, b in self.covers],
-            {mapping[v]: c for v, c in self.colors.items()},
-        )
-
-    def __eq__(self, other) -> bool:
+    def _mapped(self, label, color=None, flip=False):
+        covers = [(label[a], label[b]) for a, b in self.covers]
         return (
-            isinstance(other, VertexColoredPoset)
-            and self.vertices == other.vertices
-            and self.covers == other.covers
-            and self.colors == other.colors
+            [label[v] for v in self.vertices],
+            [(b, a) for a, b in covers] if flip else covers,
+            {label[v]: c if color is None else color[c] for v, c in self.colors.items()},
         )
 
-    def __hash__(self):
-        return hash((self.vertices, self.covers, tuple(sorted(self.colors.items()))))
-
-    def __repr__(self):
-        return f"VertexColoredPoset({len(self)} vertices, {len(self.covers)} covers)"
+    def _key(self):
+        return self.vertices, self.covers, self.colors
 
 
 class EdgeColoredPoset(_HasseCore):
@@ -371,24 +380,15 @@ class EdgeColoredPoset(_HasseCore):
             covers.append((self.vertices[a], self.vertices[b], self._edge_color[(a, b)]))
         return EdgeColoredPoset([self.vertices[i] for i in ids], covers)
 
-    def relabel(self, mapping: Mapping[str, str]) -> "EdgeColoredPoset":
-        return EdgeColoredPoset(
-            [mapping[v] for v in self.vertices],
-            [(mapping[a], mapping[b], c) for a, b, c in self.covers],
-        )
-
-    def __eq__(self, other) -> bool:
+    def _mapped(self, label, color=None, flip=False):
+        covers = [(label[a], label[b], c if color is None else color[c]) for a, b, c in self.covers]
         return (
-            isinstance(other, EdgeColoredPoset)
-            and self.vertices == other.vertices
-            and self.covers == other.covers
+            [label[v] for v in self.vertices],
+            [(b, a, c) for a, b, c in covers] if flip else covers,
         )
 
-    def __hash__(self):
-        return hash((self.vertices, self.covers))
-
-    def __repr__(self):
-        return f"EdgeColoredPoset({len(self)} vertices, {len(self.covers)} covers)"
+    def _key(self):
+        return self.vertices, self.covers
 
 
 Structure = VertexColoredPoset | EdgeColoredPoset
@@ -447,16 +447,7 @@ def _star(label: str) -> str:
 
 def dual(p: Structure) -> Structure:
     """Order-reverse p; every edge s -> t of color i becomes t* -> s* of color i."""
-    if isinstance(p, EdgeColoredPoset):
-        return EdgeColoredPoset(
-            [_star(v) for v in p.vertices],
-            [(_star(b), _star(a), c) for a, b, c in p.covers],
-        )
-    return VertexColoredPoset(
-        [_star(v) for v in p.vertices],
-        [(_star(b), _star(a)) for a, b in p.covers],
-        {_star(v): c for v, c in p.colors.items()},
-    )
+    return type(p)(*p._mapped({v: _star(v) for v in p.vertices}, flip=True))
 
 
 def recolor(p: Structure, sigma: Mapping[Color, Color]) -> Structure:
@@ -468,29 +459,17 @@ def recolor(p: Structure, sigma: Mapping[Color, Color]) -> Structure:
         t = sigma[c]
         if not isinstance(t, int) or t < 0:
             raise ValidationError(f"recoloring must map to non-negative integers, got {t!r}")
-    if isinstance(p, EdgeColoredPoset):
-        return EdgeColoredPoset(p.vertices, [(a, b, sigma[c]) for a, b, c in p.covers])
-    return VertexColoredPoset(
-        p.vertices, p.covers, {v: sigma[c] for v, c in p.colors.items()}
-    )
+    return type(p)(*p._mapped(dict(zip(p.vertices, p.vertices)), sigma))
 
 
 def disjoint_sum(a: Structure, b: Structure) -> Structure:
     """Disjoint union, with labels prefixed "L." / "R." to keep the sum total."""
     if type(a) is not type(b):
         raise ValidationError("disjoint_sum requires two structures of the same kind")
-    la = {v: "L." + v for v in a.vertices}
-    lb = {v: "R." + v for v in b.vertices}
-    vertices = [la[v] for v in a.vertices] + [lb[v] for v in b.vertices]
-    if isinstance(a, EdgeColoredPoset):
-        covers = [(la[x], la[y], c) for x, y, c in a.covers]
-        covers += [(lb[x], lb[y], c) for x, y, c in b.covers]
-        return EdgeColoredPoset(vertices, covers)
-    covers = [(la[x], la[y]) for x, y in a.covers]
-    covers += [(lb[x], lb[y]) for x, y in b.covers]
-    colors = {la[v]: c for v, c in a.colors.items()}
-    colors.update({lb[v]: c for v, c in b.colors.items()})
-    return VertexColoredPoset(vertices, covers, colors)
+    left = a._mapped({v: "L." + v for v in a.vertices})
+    right = b._mapped({v: "R." + v for v in b.vertices})
+    # vertices and covers are lists; the vertex colors of a vertex poset are a dict
+    return type(a)(*(x | y if isinstance(x, dict) else x + y for x, y in zip(left, right)))
 
 
 def cartesian_product(a: EdgeColoredPoset, b: EdgeColoredPoset) -> EdgeColoredPoset:

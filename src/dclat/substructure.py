@@ -44,6 +44,8 @@ from .structures import (
     reduce_relation,
 )
 
+DEFINITION_SEARCH_CAP = 12  # most vertices subordinates_by_definition searches
+
 
 @dataclass
 class SublatticeEmbedding:
@@ -512,18 +514,17 @@ def enumerate_subordinates(P: VertexColoredPoset, colors: Iterable[int]) -> list
     )
 
 
-def subordinates_by_definition(
-    P: VertexColoredPoset, colors: Iterable[int], cap: int = 12
-) -> set[frozenset[str]]:
+def subordinates_by_definition(P: VertexColoredPoset, colors: Iterable[int]) -> set[frozenset[str]]:
     """Deliberately naive search straight from the definition.
 
     Enumerates pairs (ideal r, candidate vertex set Q) and keeps Q when: all
     its colors are designated, it is disjoint from r, r unioned with Q is an
     ideal, and the boundary (maximal vertices of r, minimal vertices outside
-    the union) avoids the designated colors.  Exponential; capped.
+    the union) avoids the designated colors.  Exponential; capped at
+    ``DEFINITION_SEARCH_CAP`` vertices.
     """
-    if len(P) > cap:
-        raise EnumerationCapExceeded(f"definition search is capped at {cap} vertices")
+    if len(P) > DEFINITION_SEARCH_CAP:
+        raise EnumerationCapExceeded(f"definition search is capped at {DEFINITION_SEARCH_CAP} vertices")
     J = frozenset(colors)
     n = len(P)
     down, up = P._cover_masks()

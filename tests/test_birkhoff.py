@@ -32,6 +32,7 @@ from dclat import (
     verify_fundamental_poset,
     verify_transform_identities,
 )
+from dclat import birkhoff
 from dclat.birkhoff import IdealLattice, enumerate_ideal_masks
 from dclat.structures import EdgeColoredPoset
 from _oracles import count_ideals, subset_lattice_postconditions
@@ -115,9 +116,12 @@ class TestBuildJ:
         assert len(set(labels)) == 8
         assert verify_fundamental_poset(q).passed
 
-    def test_size_cap(self):
+    def test_size_cap(self, monkeypatch):
+        monkeypatch.setattr(birkhoff, "ELEMENT_CAP", 100)
+        with pytest.raises(SizeCapExceeded, match="exceeds cap 100"):
+            build_J(antichain_poset(8))
         with pytest.raises(SizeCapExceeded):
-            build_J(antichain_poset(8), cap=100)
+            build_M(antichain_poset(8))
 
     def test_filter_rank_is_complement_size(self, fig_poset):
         il = build_M(fig_poset)
@@ -299,6 +303,30 @@ class TestTransformIdentities:
             used = sorted(P.colors_used | Q.colors_used)
             sigma = {c: rng.choice([1, 2, c]) for c in used}
             assert verify_transform_identities(P, Q, sigma).passed
+
+    def test_builds_each_structure_once(self, monkeypatch, fig_poset, data_dir):
+        from dclat import dcp, lattice
+
+        calls = {}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("dual", "recolor", "cartesian_product", "as_lattice"):
+            counted(birkhoff, name)
+        counted(lattice, "check_diamond_colored")
+        Q = dcp.parse((data_dir / "fig5Q.dcp").read_text())
+        report = verify_transform_identities(fig_poset, Q, {1: 2, 2: 1})
+        assert report.passed and len(report.checks) == 12
+        assert calls == {
+            "dual": 5, "recolor": 5, "cartesian_product": 2, "as_lattice": 3, "check_diamond_colored": 5,
+        }
 
 
 class TestCoverColorProfile:

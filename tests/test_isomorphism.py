@@ -12,10 +12,13 @@ from dclat import (
     ValidationError,
     VertexColoredPoset,
     boolean_lattice,
+    dual,
     find_isomorphism,
     isomorphic,
     random_poset,
+    recolor,
 )
+from dclat.isomorphism import _verify_witness
 from _oracles import brute_isomorphism
 
 
@@ -32,6 +35,16 @@ def test_relabeled_copy(fig_poset):
     w = find_isomorphism(fig_poset, other)
     assert w is not None
     assert {w[v] for v in fig_poset.vertices} == set(other.vertices)
+
+
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+def test_witness_check_rejects_a_color_changing_bijection(kind, fig_poset, fig_lattice):
+    p = fig_poset if kind == "vertex" else fig_lattice
+    identity = {v: v for v in p.vertices}
+    assert _verify_witness(p, p, identity)
+    # the identity preserves every cover but maps onto the other colors
+    assert not _verify_witness(p, recolor(p, {1: 2, 2: 1}), identity)
+    assert not _verify_witness(p, dual(dual(p)), dict(zip(p.vertices, reversed(p.vertices))))
 
 
 def test_color_mismatch_chains():

@@ -27,7 +27,9 @@ from dclat import (
     ascent_descent_counts,
     as_lattice,
     boolean_lattice,
+    build_J,
     cartesian_product,
+    chain_poset,
     check_diamond_colored,
     check_topographically_balanced,
     compute_rank,
@@ -42,6 +44,7 @@ from dclat import (
     verify_path_colors,
     verify_path_colors_all,
 )
+from dclat import paths
 from dclat.paths import _bfs
 from dclat.structures import EdgeColoredPoset
 from _oracles import diamond_by_labels, distance_by_pair_bfs, rank_assignments, rank_by_labels
@@ -440,11 +443,23 @@ class TestPathColors:
         for L in random_distributive_lattices(10, 32, seed=13):
             assert all(r.passed for r in verify_path_colors_all(as_lattice(L)))
 
-    def test_cap_exceeded(self):
+    def test_cap_exceeded(self, monkeypatch):
         b2 = boolean_lattice(2)
         view = as_lattice(b2)
-        with pytest.raises(EnumerationCapExceeded):
-            verify_path_colors(view, "empty", "a0.a1", cap=1)
+        assert verify_path_colors(view, "empty", "a0.a1").path_count == 2
+        monkeypatch.setattr(paths, "PATH_PAIR_CAP", 3)
+        with pytest.raises(EnumerationCapExceeded, match="path pairs exceed cap 3"):
+            verify_path_colors(view, "empty", "a0.a1")
+        monkeypatch.setattr(paths, "PATH_CAP", 1)
+        with pytest.raises(EnumerationCapExceeded, match="2 ascending paths exceed cap 1"):
+            verify_path_colors(view, "empty", "a0.a1")
+
+    def test_long_chain_counts_without_recursion(self):
+        # a single ascending path through every element; counting recursed once per element before
+        view = build_J(chain_poset(1200)).view
+        report = verify_path_colors(view, view.minimum, view.maximum)
+        assert report.passed and report.path_count == 1
+        assert report.color_multiset == (1,) * (len(view) - 1)
 
     def test_mismatched_diamond_rejected(self):
         from dclat import NotDiamondColored

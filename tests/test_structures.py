@@ -148,6 +148,11 @@ class TestKindAgnosticOperations:
         back = moved.relabel({w: v for v, w in forward.items()})
         assert back == either_kind and hash(back) == hash(either_kind)
 
+    def test_differs_after_a_recoloring(self, either_kind):
+        swapped = recolor(either_kind, {1: 2, 2: 1})
+        assert swapped.vertices == either_kind.vertices and swapped != either_kind
+        assert recolor(swapped, {1: 2, 2: 1}) == either_kind
+
     def test_differs_from_the_other_kind(self, either_kind):
         one_vertex = [VertexColoredPoset(["a"], [], {"a": 0}), EdgeColoredPoset(["a"], [])]
         same, other = one_vertex if isinstance(either_kind, VertexColoredPoset) else one_vertex[::-1]
