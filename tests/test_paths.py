@@ -455,7 +455,7 @@ class TestPathColors:
             verify_path_colors(view, "empty", "a0.a1")
 
     def test_long_chain_counts_without_recursion(self):
-        # a single ascending path through every element; counting recursed once per element before
+        # one ascending path through all 1201 elements, deeper than the default recursion limit
         view = build_J(chain_poset(1200)).view
         report = verify_path_colors(view, view.minimum, view.maximum)
         assert report.passed and report.path_count == 1
