@@ -277,6 +277,9 @@ class TestGoldenOutput:
             (["transform", "fig1L.dcp", "--op", "recolor:1=3,2=4"], "transform-recolor-fig1L.out", 0),
             (["transform", "fig5P1.dcp", "--op", "sum:fig5P2.dcp"], "transform-sum-fig5P1-fig5P2.out", 0),
             (["transform", "m3.dcp", "--op", "sum:m3.dcp"], "transform-sum-m3-m3.out", 0),
+            (["verify", "fig1L.dcp", "--theorem", "prop3"], "verify-prop3-fig1L.out", 0),
+            (["dist", "fig1L.dcp", "--from", "empty", "--to", "v1.v2.v3.v4.v5.v6"], "dist-empty-top-fig1L.out", 0),
+            (["dist", "fig1L.dcp", "--from", "v5", "--to", "v2.v5.v6"], "dist-v5-v2.v5.v6-fig1L.out", 0),
         ],
     )
     def test_matches_golden(self, capsys, data_dir, argv, golden, exit_code):
