@@ -68,6 +68,45 @@ class TestParse:
             parse("type edge-lattice\nvertex a\nvertex b\nedge a b color 1\nedge b a color 1\n")
 
 
+# (text, message, line, column) of every ParseError raise site in parse_document,
+# recorded before the tokenizer stopped computing columns on the happy path
+H = "type vertex-poset\n"
+PARSE_ERRORS = [
+    ('vertex a color 1\n', "line 1, col 1: expected 'type vertex-poset' or 'type edge-lattice'", 1, 1),
+    ('  # lead\n\n\tvertex a\n', "line 3, col 2: expected 'type vertex-poset' or 'type edge-lattice'", 3, 2),
+    ('type mystery\n', 'line 1, col 6: unknown structure kind (expected one of vertex-poset, edge-lattice)', 1, 6),
+    ('type\n', 'line 1, col 1: unknown structure kind (expected one of vertex-poset, edge-lattice)', 1, 1),
+    ('  type   vertex-poset extra\n', 'line 1, col 10: unknown structure kind (expected one of vertex-poset, edge-lattice)', 1, 10),
+    ('type\tedge-lattice\n \ttype vertex-poset\n', "line 2, col 3: duplicate 'type' declaration", 2, 3),
+    (H + 'vertex\n', "line 2, col 1: expected 'vertex NAME [color INT]'", 2, 1),
+    (H + 'vertex a color\n', "line 2, col 1: expected 'vertex NAME [color INT]'", 2, 1),
+    (H + '  vertex   a! color 1\n', "line 2, col 12: invalid name 'a!'", 2, 12),
+    (H + 'vertex a colour 1\n', "line 2, col 10: expected 'color'", 2, 10),
+    (H + 'vertex a\tcolor  -1\n', "line 2, col 17: color must be a non-negative integer, got '-1'", 2, 17),
+    (H + 'vertex a color x1  # note\n', "line 2, col 16: color must be a non-negative integer, got 'x1'", 2, 16),
+    (H + 'edge a\n', "line 2, col 1: expected 'edge NAME NAME [color INT]'", 2, 1),
+    (H + 'edge a b color\n', "line 2, col 1: expected 'edge NAME NAME [color INT]'", 2, 1),
+    (H + 'edge a? b\n', "line 2, col 6: invalid name 'a?'", 2, 6),
+    (H + 'edge a \t b*\n', "line 2, col 10: invalid name 'b*'", 2, 10),
+    (H + 'edge a b hue 2\n', "line 2, col 10: expected 'color'", 2, 10),
+    (H + 'edge a b color 2.0\n', "line 2, col 16: color must be a non-negative integer, got '2.0'", 2, 16),
+    (H + '\t  vortex a color 1\n', "line 2, col 4: unknown declaration 'vortex'", 2, 4),
+    (H + 'vertex a\x0bcolor 1\n', "line 3, col 1: unknown declaration 'color'", 3, 1),
+    (H + '\x0c\nvertex\xa0a color 1\n', "line 4, col 1: unknown declaration 'vertex\\xa0a'", 4, 1),
+    (H + 'edge a b\r\nvertex c! color 1\n', "line 3, col 8: invalid name 'c!'", 3, 8),
+    ('', "line 1, col 1: empty document: missing 'type' line", 1, 1),
+    ('# only a comment\n\n   \n', "line 1, col 1: empty document: missing 'type' line", 1, 1),
+]
+
+
+@pytest.mark.parametrize("text,message,line,col", PARSE_ERRORS)
+def test_parse_error_sites_pinned(text, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert type(exc.value) is ParseError
+    assert (str(exc.value), exc.value.line, exc.value.col) == (message, line, col)
+
+
 class TestEmit:
     def test_round_trip_golden_files(self, data_dir):
         for name in ("fig1P.dcp", "fig1L.dcp", "fig5Q.dcp", "m3.dcp", "n5.dcp"):
