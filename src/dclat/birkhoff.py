@@ -23,6 +23,7 @@ from .errors import (
 )
 from .isomorphism import find_isomorphism
 from .lattice import LatticeView, as_lattice, is_boolean, is_distributive_fast
+from .paths import CheckResult
 from .report import Report
 from .structures import (
     Color,
@@ -35,21 +36,32 @@ from .structures import (
     _bits,
 )
 
-# Memory roughly triples per doubling: build_J on an antichain takes 153 MB
-# at 2^14 elements, 403 MB at 2^15 and 1236 MB at 2^16.
+# Memory roughly triples per doubling: build_J on an antichain peaks at 121 MB
+# at 2^14 elements, 334 MB at 2^15 and 1073 MB at 2^16 (process peak RSS,
+# one process building the three in turn).
 ELEMENT_CAP = 1 << 16
 
 
 def _unique_labels(raw: list[str]) -> list[str]:
-    seen: dict[str, int] = {}
+    """``raw`` with each repeat of a label suffixed ``_2``, ``_3``, ...
+
+    A suffix skips every label already given out or still to come, so that
+    names containing ``_`` and ``.`` cannot collide with it.
+    """
+    taken = set(raw)
+    last: dict[str, int] = {}
     out = []
     for lab in raw:
-        if lab not in seen:
-            seen[lab] = 1
+        if lab not in last:
+            last[lab] = 1
             out.append(lab)
-        else:
-            seen[lab] += 1
-            out.append(f"{lab}_{seen[lab]}")
+            continue
+        k = last[lab] + 1
+        while (suffixed := f"{lab}_{k}") in taken:
+            k += 1
+        last[lab] = k
+        taken.add(suffixed)
+        out.append(suffixed)
     return out
 
 
@@ -62,7 +74,10 @@ class IdealLattice:
 
     Construct via :func:`build_J` or :func:`build_M`.  The ideals (filters)
     of a poset form a distributive lattice by Birkhoff's theorem, so
-    ``view`` is a ``LatticeView`` taken without validation.
+    ``view`` is a ``LatticeView`` taken without validation.  Coloring each
+    edge by the vertex it adds makes the lattice diamond-colored, so the
+    view starts out knowing that it is diamond-colored, modular and
+    distributive.
     """
 
     def __init__(self, source: VertexColoredPoset, mode: str, masks: list[int], lattice: EdgeColoredPoset):
@@ -71,6 +86,12 @@ class IdealLattice:
         self.masks = tuple(masks)
         self.lattice = lattice
         self.view = LatticeView(lattice)
+        self.view._cache.update(
+            diamond=CheckResult(True, None),
+            modular=True,
+            distributive=CheckResult(True, None),
+            distributive_fast=True,
+        )
         self.mask_of_label = dict(zip(lattice.vertices, masks))
         self.label_of_mask = {m: v for v, m in self.mask_of_label.items()}
 
@@ -129,16 +150,18 @@ def _subset_lattice(P: VertexColoredPoset, mode: str) -> IdealLattice:
     flip = 0 if mode == "ideal" else (1 << len(P)) - 1
     masks = sorted(m ^ flip for m in enumerate_ideal_masks(P))
     labels = _unique_labels([_subset_label(P, m) for m in masks])
-    label_of = dict(zip(masks, labels))
+    id_of = {m: k for k, m in enumerate(masks)}
     down, _ = P._cover_masks()
-    covers = []
-    for m in masks:
-        lab = label_of[m]
+    # (vertex bit, bits of its lower covers, its color) per source vertex
+    steps = [(1 << i, need, P.colors[v]) for i, (v, need) in enumerate(zip(P.vertices, down))]
+    edges = []
+    for k, m in enumerate(masks):
         ideal = m ^ flip
-        for i, v in enumerate(P.vertices):
-            if not (ideal >> i) & 1 and down[i] & ideal == down[i]:
-                covers.append((lab, label_of[m ^ (1 << i)], P.colors[v]))
-    return IdealLattice(P, mode, masks, EdgeColoredPoset(labels, covers))
+        for bit, need, color in steps:
+            if not ideal & bit and ideal & need == need:
+                edges.append((k, id_of[m ^ bit], color))
+    # Birkhoff's theorem makes these covers a lattice's transitive reduction
+    return IdealLattice(P, mode, masks, EdgeColoredPoset._from_ids(labels, edges))
 
 
 def build_J(P: VertexColoredPoset) -> IdealLattice:

@@ -36,73 +36,74 @@ class DcpDocument:
     edges: list[tuple[str, str, int | None, int]] = field(default_factory=list)
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    out = []
+def _tokens(line: str) -> list[str]:
+    """The space- or tab-separated tokens of a line."""
+    parts = line.replace("\t", " ").split(" ")
+    return [t for t in parts if t] if "" in parts else parts
+
+
+def _col(line: str, k: int) -> int:
+    """1-based column of token ``k`` of ``line``; computed only to report an error."""
     col = 1
     for part in line.replace("\t", " ").split(" "):
         if part:
-            out.append((part, col))
+            if k == 0:
+                return col
+            k -= 1
         col += len(part) + 1
-    return out
+    raise IndexError(k)
 
 
 def parse_document(text: str) -> DcpDocument:
     doc: DcpDocument | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.partition("#")[0].rstrip()
+        if not line:
             continue
         toks = _tokens(line)
-        word, col = toks[0]
+        word = toks[0]
         if doc is None:
             if word != "type":
-                raise ParseError("expected 'type vertex-poset' or 'type edge-lattice'", lineno, col)
-            if len(toks) != 2 or toks[1][0] not in KINDS:
+                raise ParseError("expected 'type vertex-poset' or 'type edge-lattice'", lineno, _col(line, 0))
+            if len(toks) != 2 or toks[1] not in KINDS:
                 raise ParseError(f"unknown structure kind (expected one of {', '.join(KINDS)})",
-                                 lineno, toks[1][1] if len(toks) > 1 else col)
-            doc = DcpDocument(kind=toks[1][0])
+                                 lineno, _col(line, 1 if len(toks) > 1 else 0))
+            doc = DcpDocument(kind=toks[1])
             continue
-        if word == "type":
-            raise ParseError("duplicate 'type' declaration", lineno, col)
-        if word == "vertex":
-            if len(toks) not in (2, 4):
-                raise ParseError("expected 'vertex NAME [color INT]'", lineno, col)
-            name, ncol = toks[1]
-            if not NAME_RE.match(name):
-                raise ParseError(f"invalid name {name!r}", lineno, ncol)
-            color = None
-            if len(toks) == 4:
-                kw, kcol = toks[2]
-                if kw != "color":
-                    raise ParseError("expected 'color'", lineno, kcol)
-                val, vcol = toks[3]
-                if not val.isdigit():
-                    raise ParseError(f"color must be a non-negative integer, got {val!r}", lineno, vcol)
-                color = int(val)
-            doc.vertices.append((name, color, lineno))
-        elif word == "edge":
+        if word == "edge":
             if len(toks) not in (3, 5):
-                raise ParseError("expected 'edge NAME NAME [color INT]'", lineno, col)
-            a, acol = toks[1]
-            b, bcol = toks[2]
-            for nm, nc in ((a, acol), (b, bcol)):
-                if not NAME_RE.match(nm):
-                    raise ParseError(f"invalid name {nm!r}", lineno, nc)
-            color = None
-            if len(toks) == 5:
-                kw, kcol = toks[3]
-                if kw != "color":
-                    raise ParseError("expected 'color'", lineno, kcol)
-                val, vcol = toks[4]
-                if not val.isdigit():
-                    raise ParseError(f"color must be a non-negative integer, got {val!r}", lineno, vcol)
-                color = int(val)
-            doc.edges.append((a, b, color, lineno))
+                raise ParseError("expected 'edge NAME NAME [color INT]'", lineno, _col(line, 0))
+            a, b = toks[1], toks[2]
+            if not (NAME_RE.match(a) and NAME_RE.match(b)):
+                k = 2 if NAME_RE.match(a) else 1
+                raise ParseError(f"invalid name {toks[k]!r}", lineno, _col(line, k))
+            doc.edges.append((a, b, _color(toks, 3, line, lineno), lineno))
+        elif word == "vertex":
+            if len(toks) not in (2, 4):
+                raise ParseError("expected 'vertex NAME [color INT]'", lineno, _col(line, 0))
+            name = toks[1]
+            if not NAME_RE.match(name):
+                raise ParseError(f"invalid name {name!r}", lineno, _col(line, 1))
+            doc.vertices.append((name, _color(toks, 2, line, lineno), lineno))
+        elif word == "type":
+            raise ParseError("duplicate 'type' declaration", lineno, _col(line, 0))
         else:
-            raise ParseError(f"unknown declaration {word!r}", lineno, col)
+            raise ParseError(f"unknown declaration {word!r}", lineno, _col(line, 0))
     if doc is None:
         raise ParseError("empty document: missing 'type' line", 1)
     return doc
+
+
+def _color(toks: list[str], k: int, line: str, lineno: int) -> int | None:
+    """The value of an optional ``color INT`` clause at token ``k``, or None without one."""
+    if len(toks) == k:
+        return None
+    if toks[k] != "color":
+        raise ParseError("expected 'color'", lineno, _col(line, k))
+    val = toks[k + 1]
+    if not val.isdigit():
+        raise ParseError(f"color must be a non-negative integer, got {val!r}", lineno, _col(line, k + 1))
+    return int(val)
 
 
 def document_to_structure(doc: DcpDocument) -> Structure:

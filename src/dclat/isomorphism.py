@@ -179,9 +179,13 @@ def find_isomorphism(a: Structure, b: Structure) -> dict[str, str] | None:
 def _verify_witness(a: Structure, b: Structure, witness: dict[str, str]) -> bool:
     if sorted(witness) != sorted(a.vertices) or sorted(witness.values()) != sorted(b.vertices):
         return False
-    # covers as a set and vertex colors as a dict: the vertex order may differ
-    _, covers, *colors = a._mapped(witness)
-    return (set(covers), *colors) == b._key()[1:]
+    # a's covers and vertex colors, carried to b's ids; the vertex order may differ
+    to_b = [b._index[witness[v]] for v in a.vertices]
+    covers_a, *colors_a = a._args()
+    covers_b, *colors_b = b._args()
+    if {(to_b[x], to_b[y], *rest) for x, y, *rest in covers_a} != set(covers_b):
+        return False
+    return all(cb[to_b[i]] == c for ca, cb in zip(colors_a, colors_b) for i, c in enumerate(ca))
 
 
 def isomorphic(a: Structure, b: Structure) -> bool:

@@ -146,16 +146,17 @@ def compute_rank(p: _HasseCore) -> RankFunction:
     """The unique rank function of a connected poset, or NotRanked."""
     if len(p) == 0:
         raise NotConnected("empty poset has no rank function")
-    if not p.is_connected():
-        raise NotConnected("rank functions are only unique on connected posets")
     # BFS on ids from vertex 0; appending to `order` while iterating it is
-    # the queue.  A cover gets consistent levels, or raises, when its first
-    # endpoint is dequeued, and levels never change after, so no second pass
-    # over the covers is needed.
+    # the queue.  A cover gets consistent levels, or is recorded as the
+    # first inconsistent one, when its first endpoint is dequeued, and
+    # levels never change after, so no second pass over the covers is
+    # needed.  The search leaves a vertex unlevelled exactly when p is
+    # disconnected, which takes precedence over an inconsistency.
     up, down, v = p._up_adj, p._down_adj, p.vertices
     level: list[int | None] = [None] * len(p)
     level[0] = 0
     order = [0]
+    bad = None  # (lower id, upper id) of the first inconsistent cover
     for i in order:
         li = level[i]
         for j in up[i]:
@@ -163,13 +164,17 @@ def compute_rank(p: _HasseCore) -> RankFunction:
                 level[j] = li + 1
                 order.append(j)
             elif level[j] != li + 1:
-                raise NotRanked(f"inconsistent levels at cover {v[i]!r} -> {v[j]!r}")
+                bad = bad or (i, j)
         for j in down[i]:
             if level[j] is None:
                 level[j] = li - 1
                 order.append(j)
             elif level[j] != li - 1:
-                raise NotRanked(f"inconsistent levels at cover {v[j]!r} -> {v[i]!r}")
+                bad = bad or (j, i)
+    if len(order) != len(p):
+        raise NotConnected("rank functions are only unique on connected posets")
+    if bad:
+        raise NotRanked(f"inconsistent levels at cover {v[bad[0]]!r} -> {v[bad[1]]!r}")
     low = min(level)
     rank = {v[i]: level[i] - low for i in order}
     return RankFunction(rank, max(rank.values()))

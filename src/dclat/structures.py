@@ -13,6 +13,7 @@ pure, so structures can be shared freely across threads.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Mapping, Sequence
 
@@ -29,49 +30,68 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _check_labels(vertices: tuple[str, ...], index: dict[str, int]) -> None:
+    """Raise on a label that is not a non-empty string, then on the first repeated label."""
+    for v in vertices:
+        if not isinstance(v, str) or not v:
+            raise ValidationError(f"vertex label must be a non-empty string, got {v!r}")
+    if len(index) != len(vertices):
+        seen = set()
+        for v in vertices:
+            if v in seen:
+                raise ValidationError(f"duplicate vertex label {v!r}")
+            seen.add(v)
+
+
+def _check_pairs(vertices: tuple[str, ...], pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The set of cover id pairs; raises on a loop or a repeated cover, in input order."""
+    seen = set()
+    for a, b in pairs:
+        if a == b:
+            raise ValidationError(f"loop edge on {vertices[a]!r}")
+        if (a, b) in seen:
+            raise ValidationError(f"duplicate cover {vertices[a]!r} -> {vertices[b]!r}")
+        seen.add((a, b))
+    return seen
+
+
 class _HasseCore:
-    """Validation and reachability machinery shared by both poset kinds.
+    """Reachability machinery shared by both poset kinds.
 
     Internal bitsets are indexed by *topological position*; ``_pos`` maps a
     vertex id to its position and ``_at`` inverts that.  The lowest set bit
     of an up-set intersection is therefore always a minimal element, which
     lattice computations rely on.
+
+    Each kind has two ways in.  The public constructor takes labels, checks
+    every cover, then builds the id tables.  ``_from_ids`` takes covers as
+    vertex ids and checks only the labels: the library calls it on
+    structures it derives from validated ones, whose covers are known to be
+    a transitive reduction.
     """
 
     vertices: tuple[str, ...]
 
-    def _init_core(self, vertices: Sequence[str], pairs: Iterable[tuple[int, int]]):
-        self.vertices = tuple(vertices)
-        for v in self.vertices:
-            if not isinstance(v, str) or not v:
-                raise ValidationError(f"vertex label must be a non-empty string, got {v!r}")
-        self._index = {}
-        for i, v in enumerate(self.vertices):
-            if v in self._index:
-                raise ValidationError(f"duplicate vertex label {v!r}")
-            self._index[v] = i
-        n = len(self.vertices)
-        up_adj = [[] for _ in range(n)]
-        down_adj = [[] for _ in range(n)]
-        seen_pairs = set()
-        for a, b in pairs:
-            if a == b:
-                raise ValidationError(f"loop edge on {self.vertices[a]!r}")
-            if (a, b) in seen_pairs:
-                raise ValidationError(
-                    f"duplicate cover {self.vertices[a]!r} -> {self.vertices[b]!r}"
-                )
-            seen_pairs.add((a, b))
-            up_adj[a].append(b)
-            down_adj[b].append(a)
-        for adj in (up_adj, down_adj):
-            for lst in adj:
-                lst.sort()
+    @classmethod
+    def _from_ids(cls, vertices: Sequence[str], covers: Iterable[tuple]):
+        """A structure from covers given as (lower id, upper id[, color]); only labels are checked."""
+        self = cls.__new__(cls)
+        vertices = tuple(vertices)
+        index = dict(zip(vertices, range(len(vertices))))
+        _check_labels(vertices, index)
+        self._build(vertices, index, covers)
+        return self
+
+    def _init_core(self, vertices, index, up_adj: list[list[int]], down_adj: list[list[int]]):
+        """Order tables from id-sorted adjacency lists; raises if the covers form a cycle."""
+        self.vertices = vertices
+        self._index = index
         self._up_adj = up_adj
         self._down_adj = down_adj
+        n = len(vertices)
 
         # Kahn topological sort; leftovers mean a cycle.
-        indeg = [len(down_adj[i]) for i in range(n)]
+        indeg = [len(adj) for adj in down_adj]
         queue = [i for i in range(n) if indeg[i] == 0]
         topo = []
         while queue:
@@ -106,15 +126,15 @@ class _HasseCore:
         self._up = up
         self._down = down
 
-        # Transitive reduction: a cover must have nothing strictly between.
-        for a, b in seen_pairs:
-            between = up[a] & down[b]
-            if between != (1 << pos[a]) | (1 << pos[b]):
+    def _check_reduced(self, pairs: Iterable[tuple[int, int]]) -> None:
+        """Transitive reduction: a cover must have nothing strictly between."""
+        up, down, pos = self._up, self._down, self._pos
+        for a, b in pairs:
+            if up[a] & down[b] != (1 << pos[a]) | (1 << pos[b]):
                 raise ValidationError(
                     f"cover {self.vertices[a]!r} -> {self.vertices[b]!r} is implied "
                     "by a longer chain (edge set is not transitively reduced)"
                 )
-        self._cover_pairs = frozenset(seen_pairs)
 
     # -- vertex lookup ------------------------------------------------
 
@@ -224,27 +244,34 @@ class _HasseCore:
         return len(self.connected_components()) <= 1
 
     # -- operations shared by both kinds -----------------------------------
-    # Each kind's ``_mapped(label, color=None, flip=False)`` returns its
-    # constructor arguments with every label v replaced by ``label[v]``, every
-    # color c by ``color[c]`` unless ``color`` is None, and each cover
-    # reversed when ``flip`` is set; its ``_key()`` returns what equality
-    # compares.
+    # Each kind's ``_args(color=None, flip=False, shift=0)`` returns the
+    # arguments of its ``_from_ids`` after the vertices: covers as ids moved
+    # by ``shift`` and reversed when ``flip`` is set, and every color c
+    # replaced by ``color[c]`` unless ``color`` is None.  Its ``_key()``
+    # returns what equality compares.
 
     def relabel(self, mapping: Mapping[str, str]) -> "Structure":
-        return type(self)(*self._mapped(mapping))
+        return type(self)._from_ids([mapping[v] for v in self.vertices], *self._args())
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.vertices, self.covers))
+        return hash((self.vertices, self._cover_count()))
 
     def __repr__(self):
-        return f"{type(self).__name__}({len(self)} vertices, {len(self.covers)} covers)"
+        return f"{type(self).__name__}({len(self)} vertices, {self._cover_count()} covers)"
+
+    def _cover_count(self) -> int:
+        return sum(map(len, self._up_adj))
 
 
 class VertexColoredPoset(_HasseCore):
-    """Poset with a color attached to every vertex."""
+    """Poset with a color attached to every vertex.
+
+    The per-id adjacency lists are the cover store; ``covers`` is built from
+    them on first read.
+    """
 
     def __init__(
         self,
@@ -257,7 +284,7 @@ class VertexColoredPoset(_HasseCore):
             if len(c) != 2:
                 raise ValidationError(f"vertex-colored cover must be a pair, got {c!r}")
         vertices = tuple(vertices)
-        index = {v: i for i, v in enumerate(vertices)}
+        index = dict(zip(vertices, range(len(vertices))))
         pairs = []
         for a, b in cover_list:
             if a not in index:
@@ -265,17 +292,46 @@ class VertexColoredPoset(_HasseCore):
             if b not in index:
                 raise UnknownVertex(f"cover references undeclared vertex {b!r}")
             pairs.append((index[a], index[b]))
-        self._init_core(vertices, pairs)
-        col = {}
+        _check_labels(vertices, index)
+        seen = _check_pairs(vertices, pairs)
+        self._build(vertices, index, pairs)
+        self._check_reduced(seen)
+        col = []
         for v in vertices:
             if v not in colors:
                 raise ValidationError(f"vertex {v!r} has no color")
             c = colors[v]
             if not isinstance(c, int) or c < 0:
                 raise ValidationError(f"color of {v!r} must be a non-negative integer")
-            col[v] = c
-        self.colors = col
-        self.covers = frozenset((a, b) for a, b in cover_list)
+            col.append(c)
+        self.colors = dict(zip(vertices, col))
+
+    @classmethod
+    def _from_ids(cls, vertices: Sequence[str], pairs: Iterable[tuple[int, int]], colors: Sequence[Color]):
+        """A poset from (lower id, upper id) covers and per-id colors; only labels are checked."""
+        self = super()._from_ids(vertices, pairs)
+        self.colors = dict(zip(self.vertices, colors))
+        return self
+
+    def _build(self, vertices, index, pairs):
+        up_adj = [[] for _ in vertices]
+        down_adj = [[] for _ in vertices]
+        for a, b in pairs:
+            up_adj[a].append(b)
+            down_adj[b].append(a)
+        for adj in (up_adj, down_adj):
+            for lst in adj:
+                lst.sort()
+        self._init_core(vertices, index, up_adj, down_adj)
+
+    @cached_property
+    def _cover_pairs(self) -> frozenset[tuple[int, int]]:
+        return frozenset((a, b) for a, adj in enumerate(self._up_adj) for b in adj)
+
+    @cached_property
+    def covers(self) -> frozenset[tuple[str, str]]:
+        v = self.vertices
+        return frozenset((v[a], v[b]) for a, b in self._cover_pairs)
 
     def color_of(self, v: str) -> Color:
         self.index_of(v)
@@ -288,24 +344,32 @@ class VertexColoredPoset(_HasseCore):
     def induced(self, labels: Iterable[str]) -> "VertexColoredPoset":
         """Subposet on the given vertices in the induced order."""
         ids, pairs = self._induced_ids(labels)
+        new = {i: k for k, i in enumerate(ids)}
         keep = [self.vertices[i] for i in ids]
-        covers = [(self.vertices[a], self.vertices[b]) for a, b in pairs]
-        return VertexColoredPoset(keep, covers, {v: self.colors[v] for v in keep})
+        return VertexColoredPoset._from_ids(
+            keep, [(new[a], new[b]) for a, b in pairs], [self.colors[v] for v in keep]
+        )
 
-    def _mapped(self, label, color=None, flip=False):
-        covers = [(label[a], label[b]) for a, b in self.covers]
+    def _args(self, color=None, flip=False, shift=0):
+        pairs = [(a + shift, b + shift) for a, adj in enumerate(self._up_adj) for b in adj]
+        colors = [self.colors[v] for v in self.vertices]
         return (
-            [label[v] for v in self.vertices],
-            [(b, a) for a, b in covers] if flip else covers,
-            {label[v]: c if color is None else color[c] for v, c in self.colors.items()},
+            [(b, a) for a, b in pairs] if flip else pairs,
+            colors if color is None else [color[c] for c in colors],
         )
 
     def _key(self):
-        return self.vertices, self.covers, self.colors
+        return self.vertices, self._up_adj, self.colors
 
 
 class EdgeColoredPoset(_HasseCore):
-    """Poset with a color attached to every cover edge."""
+    """Poset with a color attached to every cover edge.
+
+    The cover store is the per-id (neighbour, color) step tables plus
+    ``_edge_color``, which maps (lower id, upper id) to the color.  The
+    adjacency lists are read off the step tables, and ``covers`` is built
+    from ``_edge_color`` on first read.
+    """
 
     def __init__(self, vertices: Sequence[str], covers: Iterable[tuple[str, str, Color]]):
         cover_list = [tuple(c) for c in covers]
@@ -313,8 +377,8 @@ class EdgeColoredPoset(_HasseCore):
             if len(c) != 3:
                 raise ValidationError(f"edge-colored cover must be a (lower, upper, color) triple, got {c!r}")
         vertices = tuple(vertices)
-        index = {v: i for i, v in enumerate(vertices)}
-        pairs = []
+        index = dict(zip(vertices, range(len(vertices))))
+        edges = []
         for a, b, c in cover_list:
             if a not in index:
                 raise UnknownVertex(f"cover references undeclared vertex {a!r}")
@@ -322,19 +386,38 @@ class EdgeColoredPoset(_HasseCore):
                 raise UnknownVertex(f"cover references undeclared vertex {b!r}")
             if not isinstance(c, int) or c < 0:
                 raise ValidationError(f"color of edge {a!r} -> {b!r} must be a non-negative integer")
-            pairs.append((index[a], index[b]))
-        self._init_core(vertices, pairs)
-        self._edge_color = {}
-        for a, b, c in cover_list:
-            self._edge_color[(index[a], index[b])] = c
-        self.covers = frozenset((a, b, c) for a, b, c in cover_list)
+            edges.append((index[a], index[b], c))
+        _check_labels(vertices, index)
+        seen = _check_pairs(vertices, ((a, b) for a, b, _ in edges))
+        self._build(vertices, index, edges)
+        self._check_reduced(seen)
+
+    def _build(self, vertices, index, edges):
+        edge_color = {}
         up_steps = [[] for _ in vertices]
         down_steps = [[] for _ in vertices]
-        for (ia, ib), c in self._edge_color.items():
-            up_steps[ia].append((ib, c))
-            down_steps[ib].append((ia, c))
+        for a, b, c in edges:
+            edge_color[a, b] = c
+            up_steps[a].append((b, c))
+            down_steps[b].append((a, c))
+        self._edge_color = edge_color
         self._up_steps = [tuple(sorted(s)) for s in up_steps]
         self._down_steps = [tuple(sorted(s)) for s in down_steps]
+        self._init_core(
+            vertices,
+            index,
+            [[j for j, _ in s] for s in self._up_steps],
+            [[j for j, _ in s] for s in self._down_steps],
+        )
+
+    @property
+    def _cover_pairs(self):
+        return self._edge_color.keys()
+
+    @cached_property
+    def covers(self) -> frozenset[tuple[str, str, Color]]:
+        v = self.vertices
+        return frozenset((v[a], v[b], c) for (a, b), c in self._edge_color.items())
 
     def edge_color(self, x: str, y: str) -> Color:
         key = (self.index_of(x), self.index_of(y))
@@ -370,25 +453,25 @@ class EdgeColoredPoset(_HasseCore):
         it would have no color); violations raise ValidationError.
         """
         ids, pairs = self._induced_ids(labels)
-        covers = []
+        new = {i: k for k, i in enumerate(ids)}
+        edges = []
         for a, b in pairs:
             if (a, b) not in self._edge_color:
                 raise ValidationError(
                     f"induced cover {self.vertices[a]!r} -> {self.vertices[b]!r} "
                     "is not an edge of the parent, so it has no color"
                 )
-            covers.append((self.vertices[a], self.vertices[b], self._edge_color[(a, b)]))
-        return EdgeColoredPoset([self.vertices[i] for i in ids], covers)
+            edges.append((new[a], new[b], self._edge_color[a, b]))
+        return EdgeColoredPoset._from_ids([self.vertices[i] for i in ids], edges)
 
-    def _mapped(self, label, color=None, flip=False):
-        covers = [(label[a], label[b], c if color is None else color[c]) for a, b, c in self.covers]
-        return (
-            [label[v] for v in self.vertices],
-            [(b, a, c) for a, b, c in covers] if flip else covers,
-        )
+    def _args(self, color=None, flip=False, shift=0):
+        edges = [
+            (a + shift, b + shift, c if color is None else color[c]) for (a, b), c in self._edge_color.items()
+        ]
+        return ([(b, a, c) for a, b, c in edges] if flip else edges,)
 
     def _key(self):
-        return self.vertices, self.covers
+        return self.vertices, self._edge_color
 
 
 Structure = VertexColoredPoset | EdgeColoredPoset
@@ -447,7 +530,7 @@ def _star(label: str) -> str:
 
 def dual(p: Structure) -> Structure:
     """Order-reverse p; every edge s -> t of color i becomes t* -> s* of color i."""
-    return type(p)(*p._mapped({v: _star(v) for v in p.vertices}, flip=True))
+    return type(p)._from_ids([_star(v) for v in p.vertices], *p._args(flip=True))
 
 
 def recolor(p: Structure, sigma: Mapping[Color, Color]) -> Structure:
@@ -459,17 +542,16 @@ def recolor(p: Structure, sigma: Mapping[Color, Color]) -> Structure:
         t = sigma[c]
         if not isinstance(t, int) or t < 0:
             raise ValidationError(f"recoloring must map to non-negative integers, got {t!r}")
-    return type(p)(*p._mapped(dict(zip(p.vertices, p.vertices)), sigma))
+    return type(p)._from_ids(p.vertices, *p._args(color=sigma))
 
 
 def disjoint_sum(a: Structure, b: Structure) -> Structure:
     """Disjoint union, with labels prefixed "L." / "R." to keep the sum total."""
     if type(a) is not type(b):
         raise ValidationError("disjoint_sum requires two structures of the same kind")
-    left = a._mapped({v: "L." + v for v in a.vertices})
-    right = b._mapped({v: "R." + v for v in b.vertices})
-    # vertices and covers are lists; the vertex colors of a vertex poset are a dict
-    return type(a)(*(x | y if isinstance(x, dict) else x + y for x, y in zip(left, right)))
+    # the prefixes keep the two label sets apart, and b's ids follow a's
+    vertices = ["L." + v for v in a.vertices] + ["R." + v for v in b.vertices]
+    return type(a)._from_ids(vertices, *(x + y for x, y in zip(a._args(), b._args(shift=len(a)))))
 
 
 def cartesian_product(a: EdgeColoredPoset, b: EdgeColoredPoset) -> EdgeColoredPoset:
@@ -490,14 +572,19 @@ class ProductView:
         if not factors:
             raise ValidationError("product of zero factors is not supported")
         self.factors = tuple(factors)
-        label_of = {parts: self.label_of(parts) for parts in product(*(f.vertices for f in factors))}
-        covers = []
-        for parts, lab in label_of.items():
-            for k, f in enumerate(factors):
-                for j, c in f._up_steps[f._index[parts[k]]]:
-                    covers.append((lab, label_of[parts[:k] + (f.vertices[j],) + parts[k + 1 :]], c))
-        self.poset = EdgeColoredPoset(list(label_of.values()), covers)
-        self.coords = {lab: parts for parts, lab in label_of.items()}
+        # element ids count in mixed radix, the last factor fastest
+        strides = [1] * len(factors)
+        for k in range(len(factors) - 1, 0, -1):
+            strides[k - 1] = strides[k] * len(factors[k])
+        edges = []
+        for e, ids in enumerate(product(*(range(len(f)) for f in factors))):
+            for f, i, stride in zip(factors, ids, strides):
+                for j, c in f._up_steps[i]:
+                    edges.append((e, e + (j - i) * stride, c))
+        coords = list(product(*(f.vertices for f in factors)))
+        labels = list(map(self.label_of, coords))
+        self.poset = EdgeColoredPoset._from_ids(labels, edges)
+        self.coords = dict(zip(labels, coords))
 
     def label_of(self, parts: Sequence[str]) -> str:
         return "(" + ",".join(parts) + ")"

@@ -76,30 +76,27 @@ def check_sublattice(K, L) -> SublatticeEmbedding:
         raise NotASublattice(f"candidate is not a lattice in its own order: {e}",
                              witness=e.witness) from None
     lv = _coerce_view(L)
-    missing = [v for v in kv.poset.vertices if v not in lv.poset]
+    kp, lp = kv.poset, lv.poset
+    missing = [v for v in kp.vertices if v not in lp]
     if missing:
         raise ValidationError(f"sublattice candidate has foreign vertices {missing[:3]}")
-    verts = kv.poset.vertices
+    verts, to_l = kp.vertices, [lp._index[v] for v in kp.vertices]  # K's ids to L's
+    sides = (("join", kv._join_id, lv._join_id), ("meet", kv._meet_id, lv._meet_id))
     for i, x in enumerate(verts):
-        for y in verts[i + 1 :]:
-            if kv.join(x, y) != lv.join(x, y):
-                raise NotASublattice(
-                    f"join of {x!r}, {y!r} is {kv.join(x, y)!r} inside, {lv.join(x, y)!r} in the parent",
-                    witness=(x, y, "join"),
-                )
-            if kv.meet(x, y) != lv.meet(x, y):
-                raise NotASublattice(
-                    f"meet of {x!r}, {y!r} is {kv.meet(x, y)!r} inside, {lv.meet(x, y)!r} in the parent",
-                    witness=(x, y, "meet"),
-                )
+        for k in range(i + 1, len(verts)):
+            for side, inner, outer in sides:
+                mine, theirs = inner(i, k), outer(to_l[i], to_l[k])
+                if to_l[mine] != theirs:
+                    y = verts[k]
+                    raise NotASublattice(
+                        f"{side} of {x!r}, {y!r} is {verts[mine]!r} inside, {lp.vertices[theirs]!r} in the parent",
+                        witness=(x, y, side),
+                    )
     try:
         full_length = kv.length == lv.length
     except NotRanked:
         full_length = False
-    edge_colored = all(
-        lv.poset.has_cover(a, b) and lv.poset.edge_color(a, b) == c
-        for a, b, c in kv.poset.covers
-    )
+    edge_colored = all(lp._edge_color.get((to_l[a], to_l[b])) == c for (a, b), c in kp._edge_color.items())
     return SublatticeEmbedding(kv.poset, lv.poset, kv, lv, full_length, edge_colored)
 
 
@@ -392,7 +389,7 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
     _diamond_modular(lv, "lattice")
     # J-colored covers stay transitively reduced, and a component is closed
     # under J-colored paths, so its induced covers are its edges
-    restricted = EdgeColoredPoset(p.vertices, [e for e in p.covers if e[2] in J])
+    restricted = EdgeColoredPoset._from_ids(p.vertices, [(a, b, c) for (a, b), c in p._edge_color.items() if c in J])
     infos = []
     distributive_parent = is_distributive_fast(lv)
     for labels in restricted.connected_components():

@@ -10,10 +10,13 @@ do the label-level bodies the library replaced with id-level ones: the
 diamond scan, the per-pair BFS distance, the atom-support Boolean test
 the cubic transitive reduction, the two-factor product built pair by
 pair, the triple-by-triple distributivity scan and the label-level rank
-BFS.
+BFS.  Last, the checks of the trusted paths: every structure the library
+builds through ``_from_ids`` is rebuilt through the validating public
+constructor and must come out with the same tables.
 """
 
 from collections import deque
+from contextlib import contextmanager
 from itertools import permutations
 
 from dclat import (
@@ -29,6 +32,7 @@ from dclat import (
 )
 from dclat.lattice import DistributivityWitness
 from dclat.paths import CheckResult, DiamondWitness, RankFunction
+from dclat.structures import _HasseCore
 
 
 def closure_pairs(vertices, cover_pairs):
@@ -380,3 +384,40 @@ def rank_by_labels(p):
     low = min(level.values())
     rank = {v: l - low for v, l in level.items()}
     return RankFunction(rank, max(rank.values()))
+
+
+@contextmanager
+def trusted_builds():
+    """Collect every structure that ``_from_ids`` builds inside the block."""
+    built = []
+    original = _HasseCore.__dict__["_from_ids"]
+
+    def recording(cls, *args):
+        built.append(original.__func__(cls, *args))
+        return built[-1]
+
+    _HasseCore._from_ids = classmethod(recording)
+    try:
+        yield built
+    finally:
+        _HasseCore._from_ids = original
+
+
+# what the public constructor and _from_ids must agree on, beyond _key()
+CORE_TABLES = ("vertices", "_index", "_up_adj", "_down_adj", "_at", "_pos", "_up", "_down")
+KIND_TABLES = {
+    EdgeColoredPoset: ("_up_steps", "_down_steps", "_edge_color"),
+    VertexColoredPoset: ("colors",),
+}
+
+
+def assert_matches_constructor(s):
+    """Rebuild ``s`` from its labels through the public constructor; every id table must agree."""
+    if isinstance(s, EdgeColoredPoset):
+        t = EdgeColoredPoset(list(s.vertices), list(s.covers))
+    else:
+        t = VertexColoredPoset(list(s.vertices), list(s.covers), dict(s.colors))
+    assert s._key() == t._key()
+    for name in CORE_TABLES + KIND_TABLES[type(s)]:
+        assert getattr(s, name) == getattr(t, name), name
+    assert s == t and hash(s) == hash(t) and repr(s) == repr(t)

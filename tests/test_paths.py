@@ -109,6 +109,20 @@ class TestRank:
         with pytest.raises(NotConnected):
             compute_rank(p)
 
+    @pytest.mark.parametrize("lone_first", [False, True])
+    def test_disconnected_unranked_is_reported_as_disconnected(self, lone_first):
+        # the pentagon alone raises NotRanked; beside an isolated vertex connectivity comes first
+        pentagon = n5()
+        lone = ["lone"]
+        vertices = lone + list(pentagon.vertices) if lone_first else list(pentagon.vertices) + lone
+        p = EdgeColoredPoset(vertices, list(pentagon.covers))
+        with pytest.raises(NotConnected, match="only unique on connected posets"):
+            compute_rank(p)
+
+    def test_first_inconsistent_cover_named(self):
+        with pytest.raises(NotRanked, match=r"^inconsistent levels at cover 'c' -> 'top'$"):
+            compute_rank(n5())
+
     def test_unique_against_brute_force(self):
         p = m3()
         rf = compute_rank(p)
