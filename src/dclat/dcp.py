@@ -43,15 +43,8 @@ def _tokens(line: str) -> list[str]:
 
 
 def _col(line: str, k: int) -> int:
-    """1-based column of token ``k`` of ``line``; computed only to report an error."""
-    col = 1
-    for part in line.replace("\t", " ").split(" "):
-        if part:
-            if k == 0:
-                return col
-            k -= 1
-        col += len(part) + 1
-    raise IndexError(k)
+    """1-based column of token ``k`` of ``line``; worked out only to report an error."""
+    return [m.start() + 1 for m in re.finditer(r"[^ \t]+", line)][k]
 
 
 def parse_document(text: str) -> DcpDocument:

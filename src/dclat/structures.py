@@ -257,13 +257,10 @@ class _HasseCore:
         return type(other) is type(self) and self._key() == other._key()
 
     def __hash__(self):
-        return hash((self.vertices, self._cover_count()))
+        return hash((self.vertices, len(self._cover_pairs)))
 
     def __repr__(self):
-        return f"{type(self).__name__}({len(self)} vertices, {self._cover_count()} covers)"
-
-    def _cover_count(self) -> int:
-        return sum(map(len, self._up_adj))
+        return f"{type(self).__name__}({len(self)} vertices, {len(self._cover_pairs)} covers)"
 
 
 class VertexColoredPoset(_HasseCore):

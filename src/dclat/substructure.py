@@ -88,8 +88,9 @@ def check_sublattice(K, L) -> SublatticeEmbedding:
                 mine, theirs = inner(i, k), outer(to_l[i], to_l[k])
                 if to_l[mine] != theirs:
                     y = verts[k]
+                    inside, parent = verts[mine], lp.vertices[theirs]
                     raise NotASublattice(
-                        f"{side} of {x!r}, {y!r} is {verts[mine]!r} inside, {lp.vertices[theirs]!r} in the parent",
+                        f"{side} of {x!r}, {y!r} is {inside!r} inside, {parent!r} in the parent",
                         witness=(x, y, side),
                     )
     try:
@@ -97,7 +98,7 @@ def check_sublattice(K, L) -> SublatticeEmbedding:
     except NotRanked:
         full_length = False
     edge_colored = all(lp._edge_color.get((to_l[a], to_l[b])) == c for (a, b), c in kp._edge_color.items())
-    return SublatticeEmbedding(kv.poset, lv.poset, kv, lv, full_length, edge_colored)
+    return SublatticeEmbedding(kp, lp, kv, lv, full_length, edge_colored)
 
 
 def verify_full_length_agreement(emb: SublatticeEmbedding) -> Report:
@@ -389,7 +390,9 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
     _diamond_modular(lv, "lattice")
     # J-colored covers stay transitively reduced, and a component is closed
     # under J-colored paths, so its induced covers are its edges
-    restricted = EdgeColoredPoset._from_ids(p.vertices, [(a, b, c) for (a, b), c in p._edge_color.items() if c in J])
+    restricted = EdgeColoredPoset._from_ids(
+        p.vertices, [(a, b, c) for (a, b), c in p._edge_color.items() if c in J]
+    )
     infos = []
     distributive_parent = is_distributive_fast(lv)
     for labels in restricted.connected_components():
