@@ -573,8 +573,9 @@ class ProductView:
         strides = [1] * len(factors)
         for k in range(len(factors) - 1, 0, -1):
             strides[k - 1] = strides[k] * len(factors[k])
+        self._coord_ids = list(product(*(range(len(f)) for f in factors)))  # per element, its factors' ids
         edges = []
-        for e, ids in enumerate(product(*(range(len(f)) for f in factors))):
+        for e, ids in enumerate(self._coord_ids):
             for f, i, stride in zip(factors, ids, strides):
                 for j, c in f._up_steps[i]:
                     edges.append((e, e + (j - i) * stride, c))

@@ -153,32 +153,43 @@ def verify_product_closure(factors: Sequence[EdgeColoredPoset], K_labels: Iterab
     L = pv.poset
     lv = as_lattice(L)
 
-    def componentwise(op: str, x: str, y: str) -> str:
-        """The product element whose coordinates are the factors' joins or meets."""
-        return pv.label_of([getattr(v, op)(a, b) for v, a, b in zip(views, pv.coords[x], pv.coords[y])])
+    coords, verts = pv._coord_ids, L.vertices
+    id_of = {c: e for e, c in enumerate(coords)}
 
-    K = sorted(set(K_labels), key=lambda x: L.index_of(x))
+    def table(probe, n: int) -> list[list[int]]:
+        # a factor's n^2 table costs less than the product's pair loops below
+        return [[probe(a, b) for b in range(n)] for a in range(n)]
+
+    joins = [table(v._join_id, len(v)) for v in views]
+    meets = [table(v._meet_id, len(v)) for v in views]
+
+    def componentwise(tables, x: int, y: int) -> int:
+        """The product id whose coordinates are the factors' joins (or meets) of x's and y's."""
+        return id_of[tuple([t[a][b] for t, a, b in zip(tables, coords[x], coords[y])])]
+
+    K = sorted({L.index_of(x) for x in K_labels})
     kset = set(K)
-    if lv.minimum not in kset or lv.maximum not in kset:
+    bottom, top = L.index_of(lv.minimum), L.index_of(lv.maximum)
+    if bottom not in kset or top not in kset:
         raise HypothesisViolated("subset must contain the product's extremes")
     for i, x in enumerate(K):
         for y in K[i + 1 :]:
-            if componentwise("join", x, y) not in kset or componentwise("meet", x, y) not in kset:
+            if componentwise(joins, x, y) not in kset or componentwise(meets, x, y) not in kset:
                 raise HypothesisViolated(
-                    f"subset not closed under componentwise bounds at ({x!r}, {y!r})"
+                    f"subset not closed under componentwise bounds at ({verts[x]!r}, {verts[y]!r})"
                 )
     # a bottom-to-top Hasse path inside K
-    frontier = {lv.minimum}
-    seen = set(frontier)
+    frontier = [bottom]
+    seen = {bottom}
     while frontier:
-        nxt = set()
+        nxt = []
         for v in frontier:
-            for w in list(L.ancestors(v)) + list(L.descendants(v)):
+            for w in L._up_adj[v] + L._down_adj[v]:
                 if w in kset and w not in seen:
                     seen.add(w)
-                    nxt.add(w)
+                    nxt.append(w)
         frontier = nxt
-    if lv.maximum not in seen:
+    if top not in seen:
         raise HypothesisViolated("no bottom-to-top path inside the subset")
 
     report = Report("product closure yields a full-length sublattice")
@@ -197,13 +208,12 @@ def verify_product_closure(factors: Sequence[EdgeColoredPoset], K_labels: Iterab
         lv.minimum == pv.label_of([v.minimum for v in views])
         and lv.maximum == pv.label_of([v.maximum for v in views]),
     )
-    verts = L.vertices
     report.record(
         "product joins and meets are componentwise",
         all(
-            lv.join(x, y) == componentwise("join", x, y) and lv.meet(x, y) == componentwise("meet", x, y)
-            for i, x in enumerate(verts)
-            for y in verts[i + 1 :]
+            lv._join_id(x, y) == componentwise(joins, x, y) and lv._meet_id(x, y) == componentwise(meets, x, y)
+            for x in range(len(L))
+            for y in range(x + 1, len(L))
         ),
     )
     report.record("product is modular", is_modular(lv))
@@ -211,7 +221,7 @@ def verify_product_closure(factors: Sequence[EdgeColoredPoset], K_labels: Iterab
     if all_distributive:
         report.record("product is distributive", is_distributive_fast(lv))
 
-    sub = L.induced(K)
+    sub = L.induced(verts[i] for i in K)
     emb = check_sublattice(as_lattice(sub), lv)
     report.record("subset is a sublattice", True)  # check_sublattice would have raised
     report.record("subset sublattice is full-length", emb.full_length)
