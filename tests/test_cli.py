@@ -256,6 +256,10 @@ class TestGoldenOutput:
             (["verify", "fig1P.dcp", "--theorem", "ft"], "verify-ft-fig1P.out", 0),
             (["verify", "fig1L.dcp", "--theorem", "ft"], "verify-ft-fig1L.out", 0),
             (["verify", "fig1L.dcp", "--theorem", "cor7"], "verify-cor7-fig1L.out", 0),
+            (["verify", "m3.dcp", "--theorem", "cor7"], "verify-cor7-m3.out", 1),
+            (["verify", "b2_mismatched.dcp", "--theorem", "cor7"], "verify-cor7-b2_mismatched.out", 1),
+            (["verify", "n5.dcp", "--theorem", "ft"], "verify-ft-n5.out", 1),
+            (["verify", "m3xb3.dcp", "--theorem", "ft"], "verify-ft-m3xb3.out", 1),
             (["verify", "fig1P.dcp", "--theorem", "cor8", "--with", "fig5Q.dcp"], "verify-cor8-fig1P-fig5Q.out", 0),
             (["verify", "fig1P.dcp", "--theorem", "thm11"], "verify-thm11-fig1P.out", 0),
             (["check", "b2_mismatched.dcp", "--prop", "diamond"], "check-diamond-b2_mismatched.out", 1),
