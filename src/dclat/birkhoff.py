@@ -21,7 +21,7 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-from .isomorphism import find_isomorphism
+from .isomorphism import _map_holds, find_isomorphism
 from .lattice import LatticeView, as_lattice, is_boolean, is_distributive_fast
 from .paths import CheckResult
 from .report import Report
@@ -116,10 +116,29 @@ class IdealLattice:
         return f"IdealLattice(mode={self.mode!r}, {len(self)} elements)"
 
 
-def _subset_label(P: VertexColoredPoset, mask: int) -> str:
-    if mask == 0:
-        return "empty"
-    return ".".join(P.vertices[i] for i in _bits(mask))
+def _subset_labels(P: VertexColoredPoset, masks: Iterable[int]) -> list[str]:
+    """Each mask's member names joined by "." in declaration order, or "empty".
+
+    A mask's label is the label of the mask without its highest bit plus
+    one name, or one name plus the label without its lowest bit, when that
+    smaller mask came earlier in ``masks``; otherwise the names are joined.
+    In a declaration order that is a linear extension, ascending ideals
+    always find the first and ascending filters the second.
+    """
+    names = P.vertices
+    seen = {0: ""}
+    out = []
+    for m in masks:
+        if m not in seen:
+            top, low = m.bit_length() - 1, (m & -m).bit_length() - 1
+            if (rest := seen.get(m ^ (1 << top))) is not None:
+                seen[m] = f"{rest}.{names[top]}" if rest else names[top]
+            elif (rest := seen.get(m ^ (1 << low))) is not None:
+                seen[m] = f"{names[low]}.{rest}" if rest else names[low]
+            else:
+                seen[m] = ".".join(names[i] for i in _bits(m))
+        out.append(seen[m] or "empty")
+    return out
 
 
 def enumerate_ideal_masks(P: VertexColoredPoset) -> list[int]:
@@ -149,7 +168,7 @@ def _subset_lattice(P: VertexColoredPoset, mode: str) -> IdealLattice:
     """
     flip = 0 if mode == "ideal" else (1 << len(P)) - 1
     masks = sorted(m ^ flip for m in enumerate_ideal_masks(P))
-    labels = _unique_labels([_subset_label(P, m) for m in masks])
+    labels = _unique_labels(_subset_labels(P, masks))
     id_of = {m: k for k, m in enumerate(masks)}
     down, _ = P._cover_masks()
     # (vertex bit, bits of its lower covers, its color) per source vertex
@@ -271,11 +290,38 @@ def cover_color_profile(il: IdealLattice, x: str) -> tuple[tuple[Color, ...], tu
     return up_colors, down_colors
 
 
+def _ids_in(il: IdealLattice, masks: Iterable[int]) -> list[int]:
+    """The id in ``il`` of each mask, or -1 for a mask that is none of its elements."""
+    id_of = dict(zip(il.masks, range(len(il))))
+    return [id_of.get(m, -1) for m in masks]
+
+
+def _rebuilt_witness(view: LatticeView, irr: VertexColoredPoset, side: str) -> dict[str, str] | None:
+    """The fundamental theorem's map from L onto the lattice rebuilt from ``irr``, if it holds.
+
+    ``irr`` is L's join (or meet) irreducible poset, its vertices L's labels.
+    Join side: x goes to the ideal {j in irr : j <= x} of J(irr).  Meet side:
+    x goes to the filter {m in irr : m >= x} of M(irr).  Returns the map as
+    labels when it is a color-preserving isomorphism, else None.
+    """
+    p = view.poset
+    reach = p._down if side == "join" else p._up
+    bits = [(1 << k, 1 << p._pos[p._index[v]]) for k, v in enumerate(irr.vertices)]
+    rebuilt = build_J(irr) if side == "join" else build_M(irr)
+    to_b = _ids_in(rebuilt, (sum(k for k, at in bits if r & at) for r in reach))
+    b = rebuilt.lattice
+    if not _map_holds(p, b, to_b):
+        return None
+    return {x: b.vertices[i] for x, i in zip(p.vertices, to_b)}
+
+
 def verify_fundamental(L) -> Report:
     """Both lattice-side roundtrips through the irreducible posets.
 
     Rebuilds the lattice from its join irreducibles and from its meet
-    irreducibles and demands exact color-preserving isomorphisms.
+    irreducibles and checks the fundamental theorem's maps into them:
+    x goes to the irreducibles below it (join side) or above it (meet
+    side).  The witnesses in ``details`` are those maps.
     """
     view = _coerce_view(L)
     report = Report("lattice roundtrips through irreducibles")
@@ -283,9 +329,9 @@ def verify_fundamental(L) -> Report:
     mp = extract_m(view)
     report.record("join and meet irreducible counts equal the length",
                   len(jp.poset) == view.length == len(mp.poset))
-    wit_j = find_isomorphism(view.poset, build_J(jp.poset).lattice)
+    wit_j = _rebuilt_witness(view, jp.poset, "join")
     report.record("lattice rebuilt from join irreducibles", wit_j is not None)
-    wit_m = find_isomorphism(view.poset, build_M(mp.poset).lattice)
+    wit_m = _rebuilt_witness(view, mp.poset, "meet")
     report.record("lattice rebuilt from meet irreducibles", wit_m is not None)
     report.details["join_witness"] = wit_j
     report.details["meet_witness"] = wit_m
@@ -322,8 +368,8 @@ def verify_fundamental_poset(P: VertexColoredPoset) -> Report:
 def is_birkhoff_representable(L) -> tuple[bool, VertexColoredPoset | None]:
     """A distributive lattice arises from a vertex-colored poset iff diamond-colored.
 
-    When it does, the witness poset is materialized and its ideal lattice is
-    checked against L before returning.
+    When it does, the witness poset is materialized, and the fundamental
+    theorem's map from L onto its ideal lattice is checked before returning.
     """
     view = _coerce_view(L)
     if not is_distributive_fast(view):
@@ -331,7 +377,7 @@ def is_birkhoff_representable(L) -> tuple[bool, VertexColoredPoset | None]:
     if not view.diamond.ok:
         return False, None
     witness = extract_j(view).poset
-    if find_isomorphism(view.poset, build_J(witness).lattice) is None:
+    if _rebuilt_witness(view, witness, "join") is None:
         raise ValidationError("witness poset failed to rebuild the lattice")
     return True, witness
 
@@ -344,35 +390,61 @@ def verify_transform_identities(
     Covers the six poset-side identities (ideal and filter lattices of the
     dual, the recoloring, and the disjoint sum) and the six lattice-side
     identities (irreducibles of the dual, the recoloring, and the product).
+    Each poset-side identity is checked through the map that proves it: an
+    ideal I of P* (a filter of P) goes to P minus I, which is an ideal of P,
+    and the filter case is the same; a recoloring keeps every element; an
+    ideal of P+Q goes to (its part in P, its part in Q).  The irreducible
+    posets are small and are compared by search.
     """
     report = Report("transform identities for the subset-lattice constructions")
 
     def iso(a, b) -> bool:
         return find_isomorphism(a, b) is not None
 
-    def irreducibles_after(label: str, ideals: EdgeColoredPoset, K: EdgeColoredPoset):
-        """Record whether ``ideals`` and ``K`` are isomorphic; return K's join and meet irreducibles."""
-        report.record(label, iso(ideals, K))
+    def holds(built: IdealLattice, K: EdgeColoredPoset, to_K) -> bool:
+        """Whether ``to_K(built)``, K's id for each element of ``built``, is an isomorphism."""
+        return _map_holds(built.lattice, K, to_K(built))
+
+    def irreducibles_after(label: str, built: IdealLattice, K: EdgeColoredPoset, to_K):
+        """Record whether ``to_K`` maps ``built`` onto K; return K's join and meet irreducibles."""
+        report.record(label, holds(built, K, to_K))
         view = as_lattice(K)  # one view serves both extractions, and K is dropped after them
         return extract_j(view).poset, extract_m(view).poset
+
+    full, n = (1 << len(P)) - 1, len(P)
+
+    def complement(target: IdealLattice):
+        """Each element's complement in P, as an id of ``target``."""
+        return lambda built: _ids_in(target, (full ^ m for m in built.masks))
+
+    def same(built: IdealLattice) -> list[int]:
+        return list(range(len(built)))
+
+    def parts(left: IdealLattice, right: IdealLattice):
+        """Each element's parts in P and in Q, as a product id with the right factor fastest."""
+        def to_K(built: IdealLattice) -> list[int]:
+            ls = _ids_in(left, (m & full for m in built.masks))
+            rs = _ids_in(right, (m >> n for m in built.masks))
+            return [l * len(right) + r if min(l, r) >= 0 else -1 for l, r in zip(ls, rs)]
+        return to_K
 
     # each transform is built once; the sum's ideals precede the product, so past the cap they fail first
     JP, JQ, MP = build_J(P), build_J(Q), build_M(P)
     L = JP.lattice
     j_dual, m_dual = irreducibles_after(
-        "ideals of the dual = dual of the ideals", build_J(dP := dual(P)).lattice, dual(L))
+        "ideals of the dual = dual of the ideals", build_J(dP := dual(P)), dual(L), complement(JP))
     j_recolor, m_recolor = irreducibles_after(
         "ideals of a recoloring = recoloring of the ideals",
-        build_J(rP := recolor(P, sigma)).lattice, recolor(L, sigma))
+        build_J(rP := recolor(P, sigma)), recolor(L, sigma), same)
     j_product, m_product = irreducibles_after(
         "ideals of a disjoint sum = product of the ideals",
-        build_J(PQ := disjoint_sum(P, Q)).lattice, cartesian_product(L, JQ.lattice))
+        build_J(PQ := disjoint_sum(P, Q)), cartesian_product(L, JQ.lattice), parts(JP, JQ))
     report.record("filters of the dual = dual of the filters",
-                  iso(build_M(dP).lattice, dual(MP.lattice)))
+                  holds(build_M(dP), dual(MP.lattice), complement(MP)))
     report.record("filters of a recoloring = recoloring of the filters",
-                  iso(build_M(rP).lattice, recolor(MP.lattice, sigma)))
+                  holds(build_M(rP), recolor(MP.lattice, sigma), same))
     report.record("filters of a disjoint sum = product of the filters",
-                  iso(build_M(PQ).lattice, cartesian_product(MP.lattice, build_M(Q).lattice)))
+                  holds(build_M(PQ), cartesian_product(MP.lattice, (MQ := build_M(Q)).lattice), parts(MP, MQ)))
 
     jL, jK = extract_j(JP).poset, extract_j(JQ).poset
     mL, mK = extract_m(JP).poset, extract_m(JQ).poset

@@ -179,8 +179,19 @@ def find_isomorphism(a: Structure, b: Structure) -> dict[str, str] | None:
 def _verify_witness(a: Structure, b: Structure, witness: dict[str, str]) -> bool:
     if sorted(witness) != sorted(a.vertices) or sorted(witness.values()) != sorted(b.vertices):
         return False
+    return _map_holds(a, b, [b._index[witness[v]] for v in a.vertices])
+
+
+def _map_holds(a: Structure, b: Structure, to_b: list[int]) -> bool:
+    """Whether ``to_b``, b's id for each id of a, is an isomorphism from a to b.
+
+    It must be a bijection onto b's ids that carries a's covers, with their
+    colors, exactly onto b's and keeps every vertex color.  An id of -1 (or
+    any id b does not have) makes it fail.
+    """
+    if len(a) != len(b) or sorted(to_b) != list(range(len(b))):
+        return False
     # a's covers and vertex colors, carried to b's ids; the vertex order may differ
-    to_b = [b._index[witness[v]] for v in a.vertices]
     covers_a, *colors_a = a._args()
     covers_b, *colors_b = b._args()
     if {(to_b[x], to_b[y], *rest) for x, y, *rest in covers_a} != set(covers_b):

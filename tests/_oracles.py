@@ -12,7 +12,10 @@ the cubic transitive reduction, the two-factor product built pair by
 pair, the triple-by-triple distributivity scan and the label-level rank
 BFS.  Last, the checks of the trusted paths: every structure the library
 builds through ``_from_ids`` is rebuilt through the validating public
-constructor and must come out with the same tables.
+constructor and must come out with the same tables.  The search-based
+bodies of ``verify_fundamental`` and ``verify_transform_identities`` and
+the per-mask label join are the references for the map checks and the
+memoised labels the library uses.
 """
 
 from collections import deque
@@ -30,9 +33,11 @@ from dclat import (
     check_diamond_colored,
     compute_rank,
 )
+from dclat import birkhoff
 from dclat.lattice import DistributivityWitness
 from dclat.paths import CheckResult, DiamondWitness, RankFunction
-from dclat.structures import _HasseCore
+from dclat.report import Report
+from dclat.structures import _HasseCore, _bits
 
 
 def closure_pairs(vertices, cover_pairs):
@@ -421,3 +426,80 @@ def assert_matches_constructor(s):
     for name in CORE_TABLES + KIND_TABLES[type(s)]:
         assert getattr(s, name) == getattr(t, name), name
     assert s == t and hash(s) == hash(t) and repr(s) == repr(t)
+
+
+def subset_label_by_join(P, mask):
+    """A subset lattice element's label: its members' names joined by "." in declaration order."""
+    if mask == 0:
+        return "empty"
+    return ".".join(P.vertices[i] for i in _bits(mask))
+
+
+# The two suites below are the library's bodies from before it checked the
+# theorems' maps: every identity is a search for some isomorphism.  They call
+# the constructions through ``birkhoff``'s module attributes, so a test that
+# patches one there changes what both the library and its oracle see.
+
+
+def verify_fundamental_by_search(L):
+    """Search-based lattice roundtrips through the irreducible posets."""
+    view = birkhoff._coerce_view(L)
+    report = Report("lattice roundtrips through irreducibles")
+    jp = birkhoff.extract_j(view)
+    mp = birkhoff.extract_m(view)
+    report.record("join and meet irreducible counts equal the length",
+                  len(jp.poset) == view.length == len(mp.poset))
+    wit_j = birkhoff.find_isomorphism(view.poset, birkhoff.build_J(jp.poset).lattice)
+    report.record("lattice rebuilt from join irreducibles", wit_j is not None)
+    wit_m = birkhoff.find_isomorphism(view.poset, birkhoff.build_M(mp.poset).lattice)
+    report.record("lattice rebuilt from meet irreducibles", wit_m is not None)
+    report.details["join_witness"] = wit_j
+    report.details["meet_witness"] = wit_m
+    return report
+
+
+def verify_transform_identities_by_search(P, Q, sigma):
+    """Search-based transform identities, the twelve checks in the library's order."""
+    b = birkhoff
+    report = Report("transform identities for the subset-lattice constructions")
+
+    def iso(x, y):
+        return b.find_isomorphism(x, y) is not None
+
+    def irreducibles_after(label, ideals, K):
+        report.record(label, iso(ideals, K))
+        view = b.as_lattice(K)
+        return b.extract_j(view).poset, b.extract_m(view).poset
+
+    JP, JQ, MP = b.build_J(P), b.build_J(Q), b.build_M(P)
+    L = JP.lattice
+    j_dual, m_dual = irreducibles_after(
+        "ideals of the dual = dual of the ideals", b.build_J(dP := b.dual(P)).lattice, b.dual(L))
+    j_recolor, m_recolor = irreducibles_after(
+        "ideals of a recoloring = recoloring of the ideals",
+        b.build_J(rP := b.recolor(P, sigma)).lattice, b.recolor(L, sigma))
+    j_product, m_product = irreducibles_after(
+        "ideals of a disjoint sum = product of the ideals",
+        b.build_J(PQ := b.disjoint_sum(P, Q)).lattice, b.cartesian_product(L, JQ.lattice))
+    report.record("filters of the dual = dual of the filters",
+                  iso(b.build_M(dP).lattice, b.dual(MP.lattice)))
+    report.record("filters of a recoloring = recoloring of the filters",
+                  iso(b.build_M(rP).lattice, b.recolor(MP.lattice, sigma)))
+    report.record("filters of a disjoint sum = product of the filters",
+                  iso(b.build_M(PQ).lattice, b.cartesian_product(MP.lattice, b.build_M(Q).lattice)))
+
+    jL, jK = b.extract_j(JP).poset, b.extract_j(JQ).poset
+    mL, mK = b.extract_m(JP).poset, b.extract_m(JQ).poset
+    report.record("join irreducibles of the dual = dual of the join irreducibles",
+                  iso(j_dual, b.dual(jL)))
+    report.record("join irreducibles of a recoloring = recoloring of join irreducibles",
+                  iso(j_recolor, b.recolor(jL, sigma)))
+    report.record("join irreducibles of a product = disjoint sum of join irreducibles",
+                  iso(j_product, b.disjoint_sum(jL, jK)))
+    report.record("meet irreducibles of the dual = dual of meet irreducibles",
+                  iso(m_dual, b.dual(mL)))
+    report.record("meet irreducibles of a recoloring = recoloring of meet irreducibles",
+                  iso(m_recolor, b.recolor(mL, sigma)))
+    report.record("meet irreducibles of a product = disjoint sum of meet irreducibles",
+                  iso(m_product, b.disjoint_sum(mL, mK)))
+    return report
