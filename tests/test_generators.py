@@ -1,5 +1,9 @@
 """Generator shapes, determinism, and validation."""
 
+import hashlib
+import json
+import pathlib
+
 import pytest
 
 from dclat import (
@@ -12,6 +16,7 @@ from dclat import (
     generate,
     random_poset,
 )
+from dclat.dcp import emit
 
 
 def test_chain_zero_is_single_vertex():
@@ -64,3 +69,20 @@ def test_invalid_specs():
         generate(GeneratorSpec("random", 3, p=1.5))
     with pytest.raises(InvalidSpec):
         generate(GeneratorSpec("chain", 3, colors=()))
+
+
+class TestRandomPosetPinned:
+    """``random_poset`` emits the same DCP text for every pinned (n, p, seed, colors).
+
+    The digests were recorded from the label-level implementation; each is
+    the first 16 hex digits of the SHA-256 of ``dcp.emit``'s output.
+    """
+
+    PINNED = json.loads((pathlib.Path(__file__).parent / "data" / "random_poset_emit.json").read_text())
+
+    def test_grid_emits_the_pinned_text(self):
+        assert len(self.PINNED) == 420
+        for key, digest in self.PINNED.items():
+            n, p, seed, colors = key.split()
+            P = random_poset(int(n), float(p), int(seed), tuple(map(int, colors.split(","))))
+            assert hashlib.sha256(emit(P).encode()).hexdigest()[:16] == digest, key
