@@ -23,7 +23,7 @@ from .errors import (
 )
 from .isomorphism import _map_holds, find_isomorphism
 from .lattice import LatticeView, as_lattice, is_boolean, is_distributive_fast
-from .paths import CheckResult
+from .paths import CheckResult, RankFunction
 from .report import Report
 from .structures import (
     Color,
@@ -72,12 +72,11 @@ class IdealLattice:
     declaration order; element order is ascending bitmask value, which is a
     linear extension of containment.
 
-    Construct via :func:`build_J` or :func:`build_M`.  The ideals (filters)
-    of a poset form a distributive lattice by Birkhoff's theorem, so
-    ``view`` is a ``LatticeView`` taken without validation.  Coloring each
-    edge by the vertex it adds makes the lattice diamond-colored, so the
-    view starts out knowing that it is diamond-colored, modular and
-    distributive.
+    Construct via :func:`build_J` or :func:`build_M`, which record what
+    Birkhoff's theorem proves in the lattice's verdict store (see
+    :func:`_subset_lattice`); ``view`` is a ``LatticeView`` taken without
+    validation, and it reads that store.  This class records nothing: an
+    ``IdealLattice`` built by hand has every verdict scanned on demand.
     """
 
     def __init__(self, source: VertexColoredPoset, mode: str, masks: list[int], lattice: EdgeColoredPoset):
@@ -86,12 +85,6 @@ class IdealLattice:
         self.masks = tuple(masks)
         self.lattice = lattice
         self.view = LatticeView(lattice)
-        self.view._cache.update(
-            diamond=CheckResult(True, None),
-            modular=True,
-            distributive=CheckResult(True, None),
-            distributive_fast=True,
-        )
         self.mask_of_label = dict(zip(lattice.vertices, masks))
         self.label_of_mask = {m: v for v, m in self.mask_of_label.items()}
 
@@ -165,6 +158,12 @@ def _subset_lattice(P: VertexColoredPoset, mode: str) -> IdealLattice:
     A filter is the complement of an ideal, so both families step upward by
     adding a vertex to the ideal side whose lower covers are already there:
     the ideal grows by it, the filter loses it.
+
+    Birkhoff's theorem proves the rest, and it is recorded in the lattice's
+    verdict store: the subsets form a distributive lattice of length |P|,
+    hence a modular, topographically balanced one, diamond-colored by the
+    added vertex, and an element's rank is the size of its ideal side (|I|
+    for an ideal, |P| - |F| for a filter).
     """
     flip = 0 if mode == "ideal" else (1 << len(P)) - 1
     masks = sorted(m ^ flip for m in enumerate_ideal_masks(P))
@@ -180,7 +179,17 @@ def _subset_lattice(P: VertexColoredPoset, mode: str) -> IdealLattice:
             if not ideal & bit and ideal & need == need:
                 edges.append((k, id_of[m ^ bit], color))
     # Birkhoff's theorem makes these covers a lattice's transitive reduction
-    return IdealLattice(P, mode, masks, EdgeColoredPoset._from_ids(labels, edges))
+    lattice = EdgeColoredPoset._from_ids(labels, edges)
+    holds = CheckResult(True, None)
+    lattice._verdicts.update(
+        lattice=True,
+        diamond=holds,
+        balanced=holds,
+        distributive=holds,
+        distributive_fast=True,
+        rank=RankFunction(dict(zip(labels, [(m ^ flip).bit_count() for m in masks])), len(P)),
+    )
+    return IdealLattice(P, mode, masks, lattice)
 
 
 def build_J(P: VertexColoredPoset) -> IdealLattice:

@@ -31,15 +31,14 @@ class LatticeView:
     exact, or take the ``view`` that an ideal or filter lattice carries
     by construction; joins and meets are computed on demand from the poset's
     reachability bitsets and no per-pair table is kept.  Classification
-    results are cached on the view, so share one view per lattice when
-    running many predicates.
+    results are recorded in the poset's verdict store, so every view of one
+    poset, and every check run on the poset itself, shares them.
     """
 
     def __init__(self, poset: EdgeColoredPoset):
         self.poset = poset
         self.minimum = poset.minimal_elements()[0]
         self.maximum = poset.maximal_elements()[0]
-        self._cache: dict[str, object] = {}
 
     def __len__(self) -> int:
         return len(self.poset)
@@ -81,9 +80,7 @@ class LatticeView:
 
     @property
     def rank_function(self):
-        if "rank" not in self._cache:
-            self._cache["rank"] = compute_rank(self.poset)
-        return self._cache["rank"]
+        return self.poset._verdict("rank", lambda: compute_rank(self.poset))
 
     @property
     def length(self) -> int:
@@ -91,10 +88,8 @@ class LatticeView:
 
     @property
     def diamond(self) -> CheckResult:
-        """``check_diamond_colored`` of the poset, computed once per view."""
-        if "diamond" not in self._cache:
-            self._cache["diamond"] = check_diamond_colored(self.poset)
-        return self._cache["diamond"]  # type: ignore[return-value]
+        """``check_diamond_colored`` of the poset, scanned once per poset."""
+        return check_diamond_colored(self.poset)
 
     def ensure_modular(self) -> None:
         if not is_modular(self):
@@ -125,13 +120,16 @@ def as_lattice(p: EdgeColoredPoset) -> LatticeView:
     """Validate unique pairwise bounds and return a lattice view.
 
     Only a least element and the joins of sibling upper covers are
-    checked.  If that fails, the full join-then-meet scan reports the first
-    offending pair in id order.
+    checked, and only until p's verdict store records it as a lattice.  If
+    that fails, the full join-then-meet scan reports the first offending
+    pair in id order.
     """
     if len(p) == 0:
         raise NotALattice("the empty poset is not a lattice")
-    if len(p.minimal_elements()) != 1 or not _joins_exact(p):
-        _raise_first_missing_bound(p)
+    if "lattice" not in p._verdicts:
+        if len(p.minimal_elements()) != 1 or not _joins_exact(p):
+            _raise_first_missing_bound(p)
+        p._verdicts["lattice"] = True
     return LatticeView(p)
 
 
@@ -184,10 +182,9 @@ def is_modular(L: LatticeView) -> bool:
 
     In a lattice a vee has at most one closer, so balance is exactly upper
     plus lower semimodularity, which a finite lattice has iff it is modular.
+    So the verdict is the poset's recorded balance verdict.
     """
-    if "modular" not in L._cache:
-        L._cache["modular"] = check_topographically_balanced(L.poset).ok
-    return L._cache["modular"]  # type: ignore[return-value]
+    return check_topographically_balanced(L.poset).ok
 
 
 class DistributivityWitness(NamedTuple):
@@ -219,12 +216,15 @@ def is_distributive(L: LatticeView) -> CheckResult:
     returns the same first witness as scanning every triple would.  One
     tested r compares |J(L)| + |M(L)| table rows of length n instead of
     n^2 pairs.  The table rows live only while the scan runs and are
-    built on first read; the result is cached.
+    built on first read; the result is recorded in the poset's
+    verdict store.
     """
-    if "distributive" not in L._cache:
+
+    def scan() -> CheckResult:
         witness = _first_distributivity_failure(L)
-        L._cache["distributive"] = CheckResult(witness is None, witness)
-    return L._cache["distributive"]  # type: ignore[return-value]
+        return CheckResult(witness is None, witness)
+
+    return L.poset._verdict("distributive", scan)
 
 
 class _Rows(dict):
@@ -273,9 +273,9 @@ def is_distributive_fast(L: LatticeView) -> bool:
     with equality iff it is distributive.  Agrees with the triple scan
     everywhere (tested); use this one on larger lattices.
     """
-    if "distributive_fast" not in L._cache:
-        L._cache["distributive_fast"] = is_modular(L) and len(L.join_irreducibles()) == L.length
-    return L._cache["distributive_fast"]  # type: ignore[return-value]
+    return L.poset._verdict(
+        "distributive_fast", lambda: is_modular(L) and len(L.join_irreducibles()) == L.length
+    )
 
 
 def is_boolean(L: LatticeView) -> bool:
@@ -292,7 +292,9 @@ def is_boolean(L: LatticeView) -> bool:
     with 2**k elements it is an order isomorphism from the subsets of the
     atoms onto the lattice.
     """
-    if "boolean" not in L._cache:
+
+    def scan() -> bool:
         atoms = L.poset._up_adj[L.poset.index_of(L.minimum)]
-        L._cache["boolean"] = len(L) == 1 << len(atoms) and is_distributive_fast(L)
-    return L._cache["boolean"]  # type: ignore[return-value]
+        return len(L) == 1 << len(atoms) and is_distributive_fast(L)
+
+    return L.poset._verdict("boolean", scan)

@@ -208,7 +208,12 @@ def check_diamond_colored(p: EdgeColoredPoset) -> CheckResult:
     """Within every diamond of covers, parallel edges must share a color.
 
     The witness is the first failing diamond by top, lower covers, bottom id.
+    The result is recorded in p's verdict store and scanned only once.
     """
+    return p._verdict("diamond", lambda: _diamond_scan(p))
+
+
+def _diamond_scan(p: EdgeColoredPoset) -> CheckResult:
     down = p._down_steps  # per id, (lower cover id, edge color) by id
     below = [dict(steps) for steps in down]
     for u, lowers in enumerate(down):
@@ -232,7 +237,14 @@ class VeeWitness(NamedTuple):
 
 
 def check_topographically_balanced(p: _HasseCore) -> CheckResult:
-    """Every non-chain length-two mountain is balanced by a unique valley, and dually."""
+    """Every non-chain length-two mountain is balanced by a unique valley, and dually.
+
+    The result is recorded in p's verdict store and scanned only once.
+    """
+    return p._verdict("balanced", lambda: _balance_scan(p))
+
+
+def _balance_scan(p: _HasseCore) -> CheckResult:
     for kind, adj in (("open-up", p._up_adj), ("open-down", p._down_adj)):
         near = [set(a) for a in adj]
         for i, nbrs in enumerate(adj):  # adjacency lists are sorted by id

@@ -7,8 +7,13 @@ beats silent repair.  Vertices receive dense integer ids in declaration
 order; reachability is kept as bitsets over a topological relabeling so
 order queries are single mask operations.
 
-All values are immutable after construction and every operation here is
-pure, so structures can be shared freely across threads.
+Structures are immutable after construction apart from one private store
+of verdicts (``_verdicts``), which starts empty.  A check records there
+what it proved about the structure, so a fact is proved once however many
+views ask for it.  Each key is written once, with a value that does not
+depend on which caller got there first, so structures can still be shared
+freely across threads.  The store holds plain values only, never anything
+that refers back to the structure.
 """
 
 from __future__ import annotations
@@ -86,6 +91,7 @@ class _HasseCore:
         """Order tables from id-sorted adjacency lists; raises if the covers form a cycle."""
         self.vertices = vertices
         self._index = index
+        self._verdicts: dict[str, object] = {}
         self._up_adj = up_adj
         self._down_adj = down_adj
         n = len(vertices)
@@ -135,6 +141,13 @@ class _HasseCore:
                     f"cover {self.vertices[a]!r} -> {self.vertices[b]!r} is implied "
                     "by a longer chain (edge set is not transitively reduced)"
                 )
+
+    def _verdict(self, key: str, compute):
+        """The verdict stored under ``key``; on first read ``compute()`` proves it and it is stored."""
+        verdicts = self._verdicts
+        if key not in verdicts:
+            verdicts[key] = compute()
+        return verdicts[key]
 
     # -- vertex lookup ------------------------------------------------
 

@@ -305,7 +305,7 @@ class TestTransformIdentities:
             assert verify_transform_identities(P, Q, sigma).passed
 
     def test_builds_each_structure_once(self, monkeypatch, fig_poset, data_dir):
-        from dclat import dcp, lattice
+        from dclat import dcp, paths
 
         calls = {}
 
@@ -320,13 +320,13 @@ class TestTransformIdentities:
 
         for name in ("dual", "recolor", "cartesian_product", "as_lattice"):
             counted(birkhoff, name)
-        counted(lattice, "check_diamond_colored")
+        counted(paths, "_diamond_scan")
         Q = dcp.parse((data_dir / "fig5Q.dcp").read_text())
         report = verify_transform_identities(fig_poset, Q, {1: 2, 2: 1})
         assert report.passed and len(report.checks) == 12
-        # the views of build_J's lattices carry Birkhoff's verdicts, so only the three as_lattice views scan
+        # build_J's lattices carry Birkhoff's verdicts, so only the three as_lattice views scan
         assert calls == {
-            "dual": 5, "recolor": 5, "cartesian_product": 2, "as_lattice": 3, "check_diamond_colored": 3,
+            "dual": 5, "recolor": 5, "cartesian_product": 2, "as_lattice": 3, "_diamond_scan": 3,
         }
 
 

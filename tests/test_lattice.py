@@ -2,7 +2,6 @@
 
 import itertools
 import random
-import sys
 import tracemalloc
 
 import pytest
@@ -35,7 +34,9 @@ from dclat import (
     verify_component_structure,
     verify_fundamental,
 )
+from dclat import lattice as lattice_module
 from dclat import paths
+from dclat.cli import main
 from dclat.dcp import parse
 from dclat.lattice import LatticeView, _joins_exact
 from _oracles import (
@@ -395,29 +396,41 @@ class TestBoolean:
 
 
 @pytest.fixture
-def diamond_scans(monkeypatch):
-    """Count check_diamond_colored calls, wrapped in every dclat module that imports it."""
-    original = paths.check_diamond_colored
-    calls = []
+def scans(monkeypatch):
+    """The structures each diamond scan, balance scan and sibling-join check ran on.
 
-    def counted(p):
-        calls.append(p)
-        return original(p)
+    The public checks read the verdict store first, so these count the
+    proofs themselves, not the reads.
+    """
+    calls = {"diamond": [], "balance": [], "joins": []}
+    for key, module, name in (
+        ("diamond", paths, "_diamond_scan"),
+        ("balance", paths, "_balance_scan"),
+        ("joins", lattice_module, "_joins_exact"),
+    ):
+        def counted(p, original=getattr(module, name), seen=calls[key]):
+            seen.append(p)
+            return original(p)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "dclat" and getattr(mod, "check_diamond_colored", None) is original:
-            monkeypatch.setattr(mod, "check_diamond_colored", counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
+@pytest.fixture
+def diamond_scans(scans):
+    return scans["diamond"]
+
+
 class TestDiamondVerdictOncePerView:
-    def test_cached_on_the_view(self, fig_lattice, diamond_scans):
-        view = as_lattice(fig_lattice)
+    """Counts run on fresh parses: the session fixtures carry verdicts from earlier tests."""
+
+    def test_cached_on_the_view(self, data_dir, diamond_scans):
+        view = as_lattice(parse((data_dir / "fig1L.dcp").read_text()))
         assert view.diamond.ok and view.diamond.ok
         assert len(diamond_scans) == 1
 
-    def test_fundamental_roundtrips_scan_once(self, fig_lattice, diamond_scans):
-        assert verify_fundamental(as_lattice(fig_lattice)).passed
+    def test_fundamental_roundtrips_scan_once(self, data_dir, diamond_scans):
+        assert verify_fundamental(as_lattice(parse((data_dir / "fig1L.dcp").read_text()))).passed
         assert len(diamond_scans) == 1
 
     def test_component_structure_scans_the_lattice_once(self, data_dir, diamond_scans):
@@ -426,3 +439,18 @@ class TestDiamondVerdictOncePerView:
         # once for the lattice, once per component over the four color subsets
         assert len(diamond_scans) == 27
         assert sum(p is L for p in diamond_scans) == 1
+
+
+class TestVerdictsOncePerStructure:
+    def test_two_views_of_one_poset_prove_each_verdict_once(self, data_dir, scans):
+        L = parse((data_dir / "fig1L.dcp").read_text())
+        for _ in range(2):
+            view = as_lattice(L)
+            assert view.diamond.ok and is_modular(view) and is_distributive_fast(view)
+            assert paths.check_diamond_colored(L).ok and paths.check_topographically_balanced(L).ok
+        assert {key: len(seen) for key, seen in scans.items()} == {"diamond": 1, "balance": 1, "joins": 1}
+
+    def test_check_modular_scans_balance_once(self, data_dir, scans, capsys):
+        assert main(["check", str(data_dir / "n5.dcp"), "--prop", "modular"]) == 1
+        assert capsys.readouterr().out.startswith("not modular; balance witness:")
+        assert len(scans["balance"]) == 1

@@ -3,7 +3,8 @@
 Each one must equal what the validating constructor builds from the same
 labels and covers, malformed input the caller controls must still raise
 what it always raised, and the verdicts an ideal or filter lattice carries
-from birth must equal the scans they replace.
+from birth must equal the scans they replace, while every derived
+structure starts with an empty verdict store.
 """
 
 from itertools import combinations
@@ -15,7 +16,9 @@ from hypothesis import strategies as st
 from corpus import random_vertex_posets
 from dclat import (
     EdgeColoredPoset,
+    IdealLattice,
     MissingColorMapping,
+    NotDiamondColored,
     ProductView,
     UnknownVertex,
     ValidationError,
@@ -25,10 +28,12 @@ from dclat import (
     build_M,
     check_diamond_colored,
     check_topographically_balanced,
+    compute_rank,
     disjoint_sum,
     dual,
     extract_j,
     extract_m,
+    is_boolean,
     is_distributive,
     is_distributive_fast,
     is_modular,
@@ -135,7 +140,13 @@ class TestMalformedDerivedInput:
 
 
 class TestBornVerdicts:
-    """Birkhoff's theorem gives an ideal or filter lattice's verdicts; they match the scans."""
+    """Birkhoff's theorem gives an ideal or filter lattice's verdicts; they match the scans.
+
+    The scans run on a copy rebuilt through the public constructor, whose
+    verdict store starts empty, so every verdict compared is proved afresh.
+    """
+
+    BORN = {"lattice", "diamond", "balanced", "distributive", "distributive_fast", "rank"}
 
     @staticmethod
     def posets(data_dir):
@@ -143,27 +154,73 @@ class TestBornVerdicts:
             30, 6, seed=77
         )
 
+    def assert_verdicts_equal_the_scans(self, P):
+        for il in (build_J(P), build_M(P)):
+            born = dict(il.lattice._verdicts)
+            assert set(born) == self.BORN
+            copy = EdgeColoredPoset(list(il.lattice.vertices), list(il.lattice.covers))
+            assert copy._verdicts == {}
+            fresh = as_lattice(copy)
+            assert born["lattice"] is copy._verdicts["lattice"] is True
+            assert born["diamond"] == check_diamond_colored(copy) == CheckResult(True, None)
+            assert born["balanced"] == check_topographically_balanced(copy) == CheckResult(True, None)
+            assert born["distributive"] == is_distributive(fresh) == CheckResult(True, None)
+            assert born["distributive_fast"] is is_distributive_fast(fresh) is True
+            assert born["rank"] == compute_rank(copy) == fresh.rank_function
+            assert is_modular(il.view) is is_modular(fresh) is True
+            if len(il) <= 40:
+                assert distributivity_failure_by_triples(fresh) is None
+
     def test_verdicts_equal_the_scans_on_a_fresh_view(self, data_dir):
         for P in self.posets(data_dir):
-            for il in (build_J(P), build_M(P)):
-                fresh = as_lattice(il.lattice)
-                assert il.view.diamond == check_diamond_colored(il.lattice) == CheckResult(True, None)
-                assert is_modular(il.view) is check_topographically_balanced(il.lattice).ok is True
-                assert is_distributive(il.view) == is_distributive(fresh) == CheckResult(True, None)
-                assert is_distributive_fast(il.view) is is_distributive_fast(fresh) is True
-                if len(il) <= 40:
-                    assert distributivity_failure_by_triples(fresh) is None
+            self.assert_verdicts_equal_the_scans(P)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 7), st.floats(0.0, 1.0))
+    def test_verdicts_equal_the_scans_on_random_posets(self, seed, n, p):
+        self.assert_verdicts_equal_the_scans(random_poset(n, p, seed))
 
     def test_extraction_from_built_lattices_scans_nothing(self, fig_poset, monkeypatch):
-        from dclat import lattice
+        from dclat import lattice, paths
 
         def unexpected(*args):
             raise AssertionError("scan ran on a built lattice")
 
-        for name in ("check_diamond_colored", "check_topographically_balanced"):
-            monkeypatch.setattr(lattice, name, unexpected)
+        for module, name in ((paths, "_diamond_scan"), (paths, "_balance_scan"), (lattice, "_joins_exact"),
+                             (lattice, "compute_rank")):
+            monkeypatch.setattr(module, name, unexpected)
+        for il in (build_J(fig_poset), build_M(fig_poset)):
+            view = as_lattice(il.lattice)
+            assert view.diamond.ok and is_modular(view) and view.length == len(fig_poset)
         assert len(extract_j(build_J(fig_poset)).poset) == len(fig_poset)
         assert len(extract_m(build_M(fig_poset)).poset) == len(fig_poset)
+
+    def test_derived_structures_start_with_an_empty_store(self, fig_poset):
+        L = build_J(fig_poset).lattice
+        view = as_lattice(L)
+        assert is_boolean(view) is False and view.rank_function.length == len(fig_poset)
+        check_topographically_balanced(fig_poset)
+        assert L._verdicts and fig_poset._verdicts
+        for s in (L, fig_poset):
+            derived = [
+                dual(s),
+                recolor(s, SIGMA),
+                s.relabel({v: v + "'" for v in s.vertices}),
+                disjoint_sum(s, s),
+                s.induced(s.vertices[:1]),
+            ]
+            for d in derived:
+                assert d._verdicts == {}, d
+        assert ProductView([L, L]).poset._verdicts == {}
+        assert view.interval(view.minimum, view.maximum)._verdicts == {}
+
+    def test_hand_built_ideal_lattice_is_scanned(self, data_dir):
+        square = parse((data_dir / "b2_mismatched.dcp").read_text())
+        source = VertexColoredPoset(["a", "b"], [], {"a": 1, "b": 2})
+        il = IdealLattice(source, "ideal", [0, 1, 2, 3], square)
+        assert il.view.diamond == CheckResult(False, ("bot", "x", "y", "top"))
+        with pytest.raises(NotDiamondColored):
+            extract_j(il)
 
 
 class TestUniqueLabels:
