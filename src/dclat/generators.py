@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import InvalidSpec
-from .structures import EdgeColoredPoset, Structure, VertexColoredPoset, reduce_relation
+from .structures import EdgeColoredPoset, Structure, VertexColoredPoset, _bits, _reduced_ids
 
 
 @dataclass(frozen=True)
@@ -60,17 +60,14 @@ def random_poset(n: int, p: float, seed: int | None, colors: tuple[int, ...] = (
     uniformly from the palette.
     """
     rng = random.Random(seed)
-    vertices = [f"v{i}" for i in range(n)]
-    order = list(range(n))
+    order = list(range(n))  # vertex id at each position of the linear order
     rng.shuffle(order)
-    relation = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                relation.append((vertices[order[i]], vertices[order[j]]))
-    covers = reduce_relation(vertices, relation)
-    col = {v: rng.choice(colors) for v in vertices}
-    return VertexColoredPoset(vertices, covers, col)
+    # each relation pair runs forward along the order, so positions are a linear extension
+    later = [[j for j in range(i + 1, n) if rng.random() < p] for i in range(n)]
+    cover_mask = _reduced_ids(later, range(n))
+    pairs = [(order[i], order[j]) for i in range(n) for j in _bits(cover_mask[i])]
+    vertex_colors = [rng.choice(colors) for _ in range(n)]
+    return VertexColoredPoset._from_ids([f"v{i}" for i in range(n)], pairs, vertex_colors)
 
 
 def generate(spec: GeneratorSpec) -> Structure:

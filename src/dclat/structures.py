@@ -519,10 +519,20 @@ def reduce_relation(
                 queue.append(j)
     if len(topo) != n:
         raise ValidationError("relation contains a cycle")
+    cover_mask = _reduced_ids(adj, topo)
+    return [(vertices[i], vertices[j]) for i in range(n) for j in _bits(cover_mask[i])]
+
+
+def _reduced_ids(adj: Sequence[Iterable[int]], topo: Sequence[int]) -> list[int]:
+    """Per id, the mask over ids of its upper covers in the order ``adj`` generates.
+
+    ``adj[i]`` holds the ids that i relates to directly, and ``topo`` lists
+    every id in a linear extension of the relation.
+    """
     # i covers j iff j is in i's strict reach but in no other element's
     # strict reach within it; i's successors' strict reaches cover those
-    reach = [0] * n
-    cover_mask = [0] * n
+    reach = [0] * len(adj)
+    cover_mask = [0] * len(adj)
     for i in reversed(topo):
         strict = beyond = 0
         for j in adj[i]:
@@ -530,7 +540,7 @@ def reduce_relation(
             beyond |= reach[j]
         reach[i] = strict
         cover_mask[i] = strict & ~beyond
-    return [(vertices[i], vertices[j]) for i in range(n) for j in _bits(cover_mask[i])]
+    return cover_mask
 
 
 def _star(label: str) -> str:

@@ -100,6 +100,21 @@ class TestTrustedBuildsMatchTheConstructor:
         check_trusted_builds(random_poset(n, p, seed), random_poset(m, 0.5, seed + 1, colors=(2, 4)))
 
 
+class TestRandomPosetsMatchTheConstructor:
+    """``random_poset`` reduces its relation on positions and builds through ``_from_ids``."""
+
+    def test_grid(self):
+        for n in (0, 1, 2, 5, 9, 16):
+            for p in (0.0, 0.2, 0.5, 0.8, 1.0):
+                for seed in range(4):
+                    assert_matches_constructor(random_poset(n, p, seed, colors=(1, 2, 3)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 24), st.floats(0.0, 1.0))
+    def test_random_arguments(self, seed, n, p):
+        assert_matches_constructor(random_poset(n, p, seed))
+
+
 class TestMalformedDerivedInput:
     """Input the caller controls is still checked; messages are those of the validating path."""
 
