@@ -27,6 +27,11 @@ from .structures import Color, EdgeColoredPoset, _HasseCore, _bits
 
 PATH_CAP = 100_000  # most ascending paths verify_path_colors lists between two elements
 PATH_PAIR_CAP = 4_000_000  # most ordered pairs of those paths it compares
+# Most pairs s <= t that verify_path_colors_all checks.  On the ideal lattice
+# of a 2-chain beside an m-chain it took 1.0 s at 4,134 pairs (104 elements)
+# and 4.9 s at 9,009 pairs (154 elements), growing about as pairs^2
+# (Python 3.11, one core of a 2-vCPU VM).
+COMPARABLE_PAIR_CAP = 5_000
 
 
 class Step(NamedTuple):
@@ -451,8 +456,15 @@ def verify_path_colors(L, s: str, t: str) -> PathColorReport:
 
 
 def verify_path_colors_all(L) -> list[PathColorReport]:
-    """Run verify_path_colors over every ordered pair s <= t."""
+    """Run verify_path_colors over every ordered pair s <= t.
+
+    Past ``COMPARABLE_PAIR_CAP`` such pairs it raises EnumerationCapExceeded
+    before listing any path.
+    """
     p = L.poset
+    pairs = sum(m.bit_count() for m in p._up)
+    if pairs > COMPARABLE_PAIR_CAP:
+        raise EnumerationCapExceeded(f"{pairs} comparable pairs exceed cap {COMPARABLE_PAIR_CAP}")
     reports = []
     for s in p.vertices:
         for t in p.vertices:

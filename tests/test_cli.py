@@ -45,6 +45,15 @@ class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         assert main(["check"]) == 2
 
+    def test_prop3_past_its_pair_cap_is_2(self, capsys, data_dir, monkeypatch):
+        from dclat import paths
+
+        monkeypatch.setattr(paths, "COMPARABLE_PAIR_CAP", 10)
+        code, out, err = run(capsys, "verify", str(data_dir / "fig1L.dcp"), "--theorem", "prop3")
+        assert (code, out) == (2, "")
+        # one pair per line of the prop3 golden on fig1L
+        assert err == "error: 94 comparable pairs exceed cap 10\n"
+
     def test_missing_file_is_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "parse", str(tmp_path / "absent.dcp"))
         assert code == 2

@@ -468,6 +468,15 @@ class TestPathColors:
         with pytest.raises(EnumerationCapExceeded, match="2 ascending paths exceed cap 1"):
             verify_path_colors(view, "empty", "a0.a1")
 
+    def test_comparable_pairs_capped_before_any_path(self, monkeypatch):
+        view = as_lattice(boolean_lattice(2))
+        # 3^2 pairs s <= t: each element pair of a 2-element set, ordered by inclusion
+        assert len(verify_path_colors_all(view)) == 9
+        monkeypatch.setattr(paths, "COMPARABLE_PAIR_CAP", 8)
+        monkeypatch.setattr(paths, "_ascending_paths", None)
+        with pytest.raises(EnumerationCapExceeded, match="^9 comparable pairs exceed cap 8$"):
+            verify_path_colors_all(view)
+
     def test_long_chain_counts_without_recursion(self):
         # one ascending path through all 1201 elements, deeper than the default recursion limit
         view = build_J(chain_poset(1200)).view
