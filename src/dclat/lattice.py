@@ -120,16 +120,14 @@ def as_lattice(p: EdgeColoredPoset) -> LatticeView:
     """Validate unique pairwise bounds and return a lattice view.
 
     Only a least element and the joins of sibling upper covers are
-    checked, and only until p's verdict store records it as a lattice.  If
-    that fails, the full join-then-meet scan reports the first offending
-    pair in id order.
+    checked, once per poset: the verdict is recorded in its store.  If it
+    fails, the full join-then-meet scan reports the first offending pair
+    in id order.
     """
     if len(p) == 0:
         raise NotALattice("the empty poset is not a lattice")
-    if "lattice" not in p._verdicts:
-        if len(p.minimal_elements()) != 1 or not _joins_exact(p):
-            _raise_first_missing_bound(p)
-        p._verdicts["lattice"] = True
+    if not p._verdict("lattice", lambda: len(p.minimal_elements()) == 1 and _joins_exact(p)):
+        _raise_first_missing_bound(p)
     return LatticeView(p)
 
 

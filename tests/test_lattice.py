@@ -450,6 +450,16 @@ class TestVerdictsOncePerStructure:
             assert paths.check_diamond_colored(L).ok and paths.check_topographically_balanced(L).ok
         assert {key: len(seen) for key, seen in scans.items()} == {"diamond": 1, "balance": 1, "joins": 1}
 
+    def test_a_recorded_non_lattice_raises_the_same_error_again(self, scans):
+        vee = EdgeColoredPoset(["a", "b", "c"], [("a", "b", 1), ("a", "c", 2)])
+        messages = []
+        for _ in range(2):
+            with pytest.raises(NotALattice) as err:
+                as_lattice(vee)
+            messages.append((str(err.value), err.value.witness))
+        assert messages[0] == messages[1] == ("'b' and 'c' have no common upper bound", ("b", "c", "join"))
+        assert len(scans["joins"]) == 1 and vee._verdicts == {"lattice": False}
+
     def test_check_modular_scans_balance_once(self, data_dir, scans, capsys):
         assert main(["check", str(data_dir / "n5.dcp"), "--prop", "modular"]) == 1
         assert capsys.readouterr().out.startswith("not modular; balance witness:")
