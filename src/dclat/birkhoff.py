@@ -362,10 +362,9 @@ def verify_fundamental_poset(P: VertexColoredPoset) -> Report:
     report.record("join irreducibles are the principal ideals", principal == irreducible)
     profile_ok = True
     try:
-        for lab in jl.lattice.vertices:
-            cover_color_profile(jl, lab)
-        for lab in ml.lattice.vertices:
-            cover_color_profile(ml, lab)
+        for il in (jl, ml):
+            for lab in il.lattice.vertices:
+                cover_color_profile(il, lab)
     except ValidationError:
         profile_ok = False
     report.record("cover color profiles match incident edges", profile_ok)
@@ -410,13 +409,18 @@ def verify_transform_identities(
     def iso(a, b) -> bool:
         return find_isomorphism(a, b) is not None
 
-    def holds(built: IdealLattice, K: EdgeColoredPoset, to_K) -> bool:
-        """Whether ``to_K(built)``, K's id for each element of ``built``, is an isomorphism."""
-        return _map_holds(built.lattice, K, to_K(built))
+    def holds(label: str, built: IdealLattice, K: EdgeColoredPoset, to_K) -> list[int] | None:
+        """Record whether ``to_K(built)``, K's id for each element of ``built``, is an isomorphism; return it if so."""
+        to = to_K(built)
+        return to if report.record(label, _map_holds(built.lattice, K, to)) else None
 
     def irreducibles_after(label: str, built: IdealLattice, K: EdgeColoredPoset, to_K):
-        """Record whether ``to_K`` maps ``built`` onto K; return K's join and meet irreducibles."""
-        report.record(label, holds(built, K, to_K))
+        """``holds``, then K's join and meet irreducibles; a copy of ``built`` takes its verdicts and rank."""
+        if (to := holds(label, built, K, to_K)) is not None:
+            proved = built.lattice._verdicts
+            K._verdicts.update({k: proved[k] for k in ("lattice", "diamond", "balanced", "distributive", "distributive_fast")})
+            rank = {K.vertices[i]: proved["rank"].rank[x] for x, i in zip(built.lattice.vertices, to)}
+            K._verdicts["rank"] = RankFunction(rank, proved["rank"].length)
         view = as_lattice(K)  # one view serves both extractions, and K is dropped after them
         return extract_j(view).poset, extract_m(view).poset
 
@@ -448,12 +452,10 @@ def verify_transform_identities(
     j_product, m_product = irreducibles_after(
         "ideals of a disjoint sum = product of the ideals",
         build_J(PQ := disjoint_sum(P, Q)), cartesian_product(L, JQ.lattice), parts(JP, JQ))
-    report.record("filters of the dual = dual of the filters",
-                  holds(build_M(dP), dual(MP.lattice), complement(MP)))
-    report.record("filters of a recoloring = recoloring of the filters",
-                  holds(build_M(rP), recolor(MP.lattice, sigma), same))
-    report.record("filters of a disjoint sum = product of the filters",
-                  holds(build_M(PQ), cartesian_product(MP.lattice, (MQ := build_M(Q)).lattice), parts(MP, MQ)))
+    holds("filters of the dual = dual of the filters", build_M(dP), dual(MP.lattice), complement(MP))
+    holds("filters of a recoloring = recoloring of the filters", build_M(rP), recolor(MP.lattice, sigma), same)
+    holds("filters of a disjoint sum = product of the filters",
+          build_M(PQ), cartesian_product(MP.lattice, (MQ := build_M(Q)).lattice), parts(MP, MQ))
 
     jL, jK = extract_j(JP).poset, extract_j(JQ).poset
     mL, mK = extract_m(JP).poset, extract_m(JQ).poset

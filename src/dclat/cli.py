@@ -335,11 +335,10 @@ def _cmd_verify(args) -> int:
         structure = _load(args.file, EdgeColoredPoset)
         view = lattice.as_lattice(structure)
         reports = paths.verify_path_colors_all(view)
-        bad = [r for r in reports if not r.passed]
         for r in reports:
             status = "PASS" if r.passed else "FAIL"
             print(f"{status} paths {r.s} -> {r.t}: {r.path_count} paths, colors {list(r.color_multiset)}")
-        return 1 if bad else 0
+        return 0 if all(r.passed for r in reports) else 1
     if theorem == "prop10":
         left = _load(args.file, EdgeColoredPoset)
         right = _load(getattr(args, "with"), EdgeColoredPoset) if getattr(args, "with") else left

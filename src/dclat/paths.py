@@ -398,9 +398,7 @@ def _ascending_paths(L, s: str, t: str) -> list[tuple[tuple[str, ...], tuple[Col
     for pos in reversed(list(_bits(p._up[si] & p._down[ti]))):
         i = p._at[pos]
         counts[i] = 1 if i == ti else sum(counts.get(j, 0) for j in p._up_adj[i])
-    total = counts[si]
-    if total > PATH_CAP:
-        raise EnumerationCapExceeded(f"{total} ascending paths exceed cap {PATH_CAP}")
+    _require_path_caps(counts[si])
     out: list[tuple[tuple[str, ...], tuple[Color, ...]]] = []
     stack = [(si, (s,), ())]
     while stack:
@@ -415,6 +413,20 @@ def _ascending_paths(L, s: str, t: str) -> list[tuple[tuple[str, ...], tuple[Col
     return out
 
 
+def _require_path_caps(count: int) -> None:
+    """Raise if ``count`` ascending paths pass ``PATH_CAP``, or their ordered pairs ``PATH_PAIR_CAP``."""
+    if count > PATH_CAP:
+        raise EnumerationCapExceeded(f"{count} ascending paths exceed cap {PATH_CAP}")
+    if count**2 > PATH_PAIR_CAP:
+        raise EnumerationCapExceeded(f"{count}^2 ordered path pairs exceed cap {PATH_PAIR_CAP}")
+
+
+def _require_diamond_modular(L) -> None:
+    if not L.diamond.ok:
+        raise NotDiamondColored(f"diamond violation at {L.diamond.witness}")
+    L.ensure_modular()
+
+
 def verify_path_colors(L, s: str, t: str) -> PathColorReport:
     """Check that all ascending paths s -> t agree in length and color multiset.
 
@@ -422,21 +434,13 @@ def verify_path_colors(L, s: str, t: str) -> PathColorReport:
     the second-to-last vertex of another, their first and last colors must
     coincide; comparable configurations are recorded, not asserted.
     """
-    if not L.diamond.ok:
-        raise NotDiamondColored(f"diamond violation at {L.diamond.witness}")
-    L.ensure_modular()
+    _require_diamond_modular(L)
     paths = _ascending_paths(L, s, t)
-    report = PathColorReport(
-        s, t, len(paths), tuple(sorted(paths[0][1])) if paths else ()
-    )
+    report = PathColorReport(s, t, len(paths), tuple(sorted(paths[0][1])) if paths else ())
     for _, colors in paths:
         if tuple(sorted(colors)) != report.color_multiset:
             report.multiset_ok = False
             return report
-    if len(paths) ** 2 > PATH_PAIR_CAP:
-        raise EnumerationCapExceeded(
-            f"{len(paths)}^2 ordered path pairs exceed cap {PATH_PAIR_CAP}"
-        )
     p = L.poset
     for verts_a, colors_a in paths:
         if len(colors_a) < 2:
@@ -458,16 +462,20 @@ def verify_path_colors(L, s: str, t: str) -> PathColorReport:
 def verify_path_colors_all(L) -> list[PathColorReport]:
     """Run verify_path_colors over every ordered pair s <= t.
 
-    Past ``COMPARABLE_PAIR_CAP`` such pairs it raises EnumerationCapExceeded
-    before listing any path.
+    Past ``COMPARABLE_PAIR_CAP`` such pairs, or at the first pair in (s, t)
+    order with more paths than ``PATH_CAP`` or ``PATH_PAIR_CAP`` allow, it
+    raises EnumerationCapExceeded before listing any path.
     """
     p = L.poset
     pairs = sum(m.bit_count() for m in p._up)
     if pairs > COMPARABLE_PAIR_CAP:
         raise EnumerationCapExceeded(f"{pairs} comparable pairs exceed cap {COMPARABLE_PAIR_CAP}")
-    reports = []
-    for s in p.vertices:
-        for t in p.vertices:
-            if p.leq(s, t):
-                reports.append(verify_path_colors(L, s, t))
-    return reports
+    _require_diamond_modular(L)
+    for si in range(len(p)):
+        counts = {}  # paths from si up to each id, filled in topological order
+        for pos in _bits(p._up[si]):
+            i = p._at[pos]
+            counts[i] = 1 if i == si else sum(counts.get(j, 0) for j in p._down_adj[i])
+        for ti in sorted(counts):
+            _require_path_caps(counts[ti])
+    return [verify_path_colors(L, s, t) for s in p.vertices for t in p.vertices if p.leq(s, t)]

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DclatError
-
 
 @dataclass
 class Report:
@@ -25,11 +23,6 @@ class Report:
 
     def failures(self) -> list[str]:
         return [label for label, ok in self.checks if not ok]
-
-    def raise_if_failed(self) -> "Report":
-        if not self.passed:
-            raise DclatError(f"{self.name}: failed checks: {', '.join(self.failures())}")
-        return self
 
     def lines(self) -> list[str]:
         out = [f"{'PASS' if self.passed else 'FAIL'} {self.name}"]

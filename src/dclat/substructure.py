@@ -58,10 +58,6 @@ class SublatticeEmbedding:
     full_length: bool
     edge_colored: bool
 
-    @property
-    def inclusion(self) -> dict[str, str]:
-        return {v: v for v in self.sub.vertices}
-
 
 def check_sublattice(K, L) -> SublatticeEmbedding:
     """Verify that K's meets and joins agree pairwise with L's.
@@ -69,6 +65,16 @@ def check_sublattice(K, L) -> SublatticeEmbedding:
     K's vertex labels must be a subset of L's; K carries its own lattice
     order.  Flags record whether the embedding is full-length and whether
     every K-edge is an L-edge of the same color.
+
+    Agreement is proved locally: every cover of K is <= in L, and K's join
+    and meet of two upper, or two lower, covers of one element are L's.
+    Then the inclusion f keeps every join, by the downward induction of
+    ``lattice._joins_exact``: with upper covers a <= x, b <= y of w, x v y
+    = (x v (a v b)) v y in K; f keeps a v b by the second condition, the
+    outer joins by induction at a and at b, and f(a) <= f(x), f(b) <= f(y)
+    by the first.  Meets follow dually.  Pairwise agreement implies both
+    conditions, so the pairwise scan runs only when they fail, to report
+    the first disagreeing pair in id order.
     """
     try:
         kv = _coerce_view(K)
@@ -82,17 +88,24 @@ def check_sublattice(K, L) -> SublatticeEmbedding:
         raise ValidationError(f"sublattice candidate has foreign vertices {missing[:3]}")
     verts, to_l = kp.vertices, [lp._index[v] for v in kp.vertices]  # K's ids to L's
     sides = (("join", kv._join_id, lv._join_id), ("meet", kv._meet_id, lv._meet_id))
-    for i, x in enumerate(verts):
-        for k in range(i + 1, len(verts)):
+
+    def first_disagreement(pairs) -> NotASublattice | None:
+        for i, k in pairs:
             for side, inner, outer in sides:
                 mine, theirs = inner(i, k), outer(to_l[i], to_l[k])
                 if to_l[mine] != theirs:
-                    y = verts[k]
-                    inside, parent = verts[mine], lp.vertices[theirs]
-                    raise NotASublattice(
-                        f"{side} of {x!r}, {y!r} is {inside!r} inside, {parent!r} in the parent",
-                        witness=(x, y, side),
+                    x, y, inside, parent = verts[i], verts[k], verts[mine], lp.vertices[theirs]
+                    return NotASublattice(
+                        f"{side} of {x!r}, {y!r} is {inside!r} inside, {parent!r} in the parent", witness=(x, y, side)
                     )
+        return None
+
+    down, pos = lp._down, lp._pos
+    monotone = all(down[to_l[b]] >> pos[to_l[a]] & 1 for a, ups in enumerate(kp._up_adj) for b in ups)
+    siblings = ((a, b) for adj in (kp._up_adj, kp._down_adj) for near in adj
+                for j, a in enumerate(near) for b in near[j + 1 :])
+    if not monotone or first_disagreement(siblings):
+        raise first_disagreement((i, k) for i in range(len(verts)) for k in range(i + 1, len(verts)))
     try:
         full_length = kv.length == lv.length
     except NotRanked:
@@ -178,18 +191,9 @@ def verify_product_closure(factors: Sequence[EdgeColoredPoset], K_labels: Iterab
                 raise HypothesisViolated(
                     f"subset not closed under componentwise bounds at ({verts[x]!r}, {verts[y]!r})"
                 )
-    # a bottom-to-top Hasse path inside K
-    frontier = [bottom]
-    seen = {bottom}
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in L._up_adj[v] + L._down_adj[v]:
-                if w in kset and w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    if top not in seen:
+    # a bottom-to-top Hasse path inside K, along L's edges between elements of K
+    inside = EdgeColoredPoset._from_ids(verts, [(a, b, c) for (a, b), c in L._edge_color.items() if {a, b} <= kset])
+    if top not in _bfs(inside, bottom, (top,)):
         raise HypothesisViolated("no bottom-to-top path inside the subset")
 
     report = Report("product closure yields a full-length sublattice")
@@ -348,8 +352,7 @@ def weak_subposet_from_sublattice(L, K) -> SubposetRecovery:
     report.record("the map is monotone into the recovered order", monotone)
 
     relation = [(phi[u], phi[v]) for u in Q.vertices for v in Q.vertices if u != v and Q.leq(u, v)]
-    covers = reduce_relation(Pp.vertices, relation)
-    recovered = VertexColoredPoset(Pp.vertices, covers, dict(Pp.colors))
+    recovered = weak_subposet(Pp, relation)
     transported = Q.relabel(phi)
     report.record("transported order equals the recovered order",
                   set(transported.covers) == set(recovered.covers)
@@ -391,8 +394,9 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
     With ``verify`` each is checked to be an edge-colored sublattice (so
     closed under the parent's bounds), diamond-colored, modular,
     distributive whenever the parent is, with inner distances equal to the
-    parent's.  The tests check the components' extremes against
-    ``subordinate_of``.
+    parent's: d(x, y) = r(x) + r(y) - 2 r(x ^ y) in both, and they share
+    meets, so that holds iff the parent's rank minus the component's is
+    constant.  The tests check the extremes against ``subordinate_of``.
     """
     lv = _coerce_view(L)
     p = lv.poset
@@ -406,9 +410,9 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
     infos = []
     distributive_parent = is_distributive_fast(lv)
     for labels in restricted.connected_components():
-        sub = restricted.induced(labels)
-        mins = sub.minimal_elements()
-        maxs = sub.maximal_elements()
+        new = {p._index[x]: k for k, x in enumerate(labels)}  # parent ids to the component's
+        sub = EdgeColoredPoset._from_ids(labels, [(new[a], new[b], c) for a in new for b, c in restricted._up_steps[a]])
+        mins, maxs = sub.minimal_elements(), sub.maximal_elements()
         if len(mins) != 1 or len(maxs) != 1:
             raise ValidationError("color-restricted component is not bounded")
         infos.append(ComponentInfo(labels, sub, mins[0], maxs[0]))
@@ -421,16 +425,10 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
                 raise ValidationError("component is not modular")
             if distributive_parent and not is_distributive_fast(sv):
                 raise ValidationError("component of a distributive lattice is not distributive")
-            # sub's ids follow labels; one BFS per source on each side
-            ids = [p.index_of(x) for x in labels]
-            for k in range(len(labels)):
-                inner = _bfs(sub, k, range(k + 1, len(labels)))
-                outer = _bfs(p, ids[k], ids[k + 1 :])
-                for m in range(k + 1, len(labels)):
-                    if inner[m] != outer[ids[m]]:
-                        raise ValidationError(
-                            f"inner distance differs from parent distance at ({labels[k]!r}, {labels[m]!r})"
-                        )
+            # d(bottom, y) is r(y) - r(bottom) on both sides, so a y off the bottom's shift names a differing pair
+            inner, outer = sv.rank_function.rank, lv.rank_function.rank
+            if off := [y for y in labels if outer[y] - inner[y] != outer[mins[0]] - inner[mins[0]]]:
+                raise ValidationError(f"inner distance differs from parent distance at ({mins[0]!r}, {off[0]!r})")
     return JComponentDecomposition(J, tuple(infos))
 
 
@@ -578,7 +576,7 @@ def verify_subordinate_correspondence(P: VertexColoredPoset, colors: Iterable[in
     from_definition = subordinates_by_definition(P, J)
     il = build_J(P)
     decomp = j_components(il, J, verify=True)
-    from_components = {s.vertex_set for s in enumerate_subordinates(P, J)}
+    from_components = {subordinate_of(il, lab, J).vertex_set for lab in il.lattice.vertices}
     report.record("component subordinates match the definition search",
                   from_components == from_definition)
 

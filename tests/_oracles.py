@@ -15,7 +15,10 @@ builds through ``_from_ids`` is rebuilt through the validating public
 constructor and must come out with the same tables.  The search-based
 bodies of ``verify_fundamental`` and ``verify_transform_identities`` and
 the per-mask label join are the references for the map checks and the
-memoised labels the library uses.
+memoised labels the library uses.  ``check_sublattice`` and
+``j_components`` prove their facts locally; their references compare
+every pair's join and meet, and every pair's distances by a search per
+pair.
 """
 
 from collections import deque
@@ -24,16 +27,21 @@ from itertools import permutations
 
 from dclat import (
     EdgeColoredPoset,
+    NotALattice,
+    NotASublattice,
     NotConnected,
     NotConnectedPair,
     NotRanked,
     UnknownVertex,
     ValidationError,
     VertexColoredPoset,
+    as_lattice,
     check_diamond_colored,
     compute_rank,
+    is_distributive_fast,
+    is_modular,
 )
-from dclat import birkhoff
+from dclat import birkhoff, substructure
 from dclat.lattice import DistributivityWitness
 from dclat.paths import CheckResult, DiamondWitness, RankFunction
 from dclat.report import Report
@@ -503,3 +511,66 @@ def verify_transform_identities_by_search(P, Q, sigma):
     report.record("meet irreducibles of a product = disjoint sum of meet irreducibles",
                   iso(m_product, b.disjoint_sum(mL, mK)))
     return report
+
+
+def check_sublattice_by_pairs(K, L):
+    """``check_sublattice`` with the joins and meets of every pair compared, in id order."""
+    try:
+        kv = birkhoff._coerce_view(K)
+    except NotALattice as e:
+        raise NotASublattice(f"candidate is not a lattice in its own order: {e}", witness=e.witness) from None
+    lv = birkhoff._coerce_view(L)
+    kp, lp = kv.poset, lv.poset
+    missing = [v for v in kp.vertices if v not in lp]
+    if missing:
+        raise ValidationError(f"sublattice candidate has foreign vertices {missing[:3]}")
+    verts = kp.vertices
+    for i, x in enumerate(verts):
+        for y in verts[i + 1 :]:
+            for side, inner, outer in (("join", kv.join, lv.join), ("meet", kv.meet, lv.meet)):
+                if inner(x, y) != outer(x, y):
+                    raise NotASublattice(
+                        f"{side} of {x!r}, {y!r} is {inner(x, y)!r} inside, {outer(x, y)!r} in the parent",
+                        witness=(x, y, side),
+                    )
+    try:
+        full_length = kv.length == lv.length
+    except NotRanked:
+        full_length = False
+    edge_colored = all(b in lp.ancestors(a) and lp.edge_color(a, b) == c for a, b, c in kp.covers)
+    return substructure.SublatticeEmbedding(kp, lp, kv, lv, full_length, edge_colored)
+
+
+def j_components_by_pair_bfs(L, colors):
+    """``j_components(L, colors)`` with every pair of a component searched for its distance on both sides.
+
+    Components are induced from the J-restricted order, checked with
+    ``check_sublattice_by_pairs``, and the first pair in label order whose
+    distances differ is reported.
+    """
+    lv = birkhoff._coerce_view(L)
+    p = lv.poset
+    J = frozenset(colors)
+    substructure._diamond_modular(lv, "lattice")
+    restricted = EdgeColoredPoset(p.vertices, [(a, b, c) for a, b, c in p.covers if c in J])
+    infos = []
+    distributive_parent = is_distributive_fast(lv)
+    for labels in restricted.connected_components():
+        sub = restricted.induced(labels)
+        mins, maxs = sub.minimal_elements(), sub.maximal_elements()
+        if len(mins) != 1 or len(maxs) != 1:
+            raise ValidationError("color-restricted component is not bounded")
+        infos.append(substructure.ComponentInfo(labels, sub, mins[0], maxs[0]))
+        sv = as_lattice(sub)
+        check_sublattice_by_pairs(sv, lv)
+        if not sv.diamond.ok:
+            raise ValidationError("component is not diamond-colored")
+        if not is_modular(sv):
+            raise ValidationError("component is not modular")
+        if distributive_parent and not is_distributive_fast(sv):
+            raise ValidationError("component of a distributive lattice is not distributive")
+        for k, x in enumerate(labels):
+            for y in labels[k + 1 :]:
+                if distance_by_pair_bfs(sub, x, y) != distance_by_pair_bfs(p, x, y):
+                    raise ValidationError(f"inner distance differs from parent distance at ({x!r}, {y!r})")
+    return substructure.JComponentDecomposition(J, tuple(infos))

@@ -1,6 +1,7 @@
 """Path machinery: counts, ranks, coloring predicates, distances, rewrites."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -476,6 +477,45 @@ class TestPathColors:
         monkeypatch.setattr(paths, "_ascending_paths", None)
         with pytest.raises(EnumerationCapExceeded, match="^9 comparable pairs exceed cap 8$"):
             verify_path_colors_all(view)
+
+    def test_path_caps_checked_before_any_path(self, monkeypatch):
+        # the 8x8 grid: 3432 paths from bottom to top, the one pair past the pair cap
+        view = build_J(disjoint_sum(chain_poset(6), chain_poset(6))).view
+        listed = []
+        monkeypatch.setattr(paths, "_ascending_paths", lambda *args: listed.append(args))
+        with pytest.raises(EnumerationCapExceeded, match=r"^3432\^2 ordered path pairs exceed cap 4000000$"):
+            verify_path_colors_all(view)
+        assert listed == []
+
+    @pytest.mark.parametrize("path_cap, pair_cap", [(5, 4_000_000), (100_000, 30), (12, 100), (100, 36)])
+    def test_first_pair_past_a_path_cap_in_order(self, monkeypatch, path_cap, pair_cap):
+        """The counting pass raises what the pair-by-pair run raises first."""
+
+        def first_error(run):
+            try:
+                run()
+            except EnumerationCapExceeded as e:
+                return str(e)
+
+        def pair_by_pair(view):
+            for s in view.poset.vertices:
+                for t in view.poset.vertices:
+                    if view.leq(s, t):
+                        verify_path_colors(view, s, t)
+
+        monkeypatch.setattr(paths, "PATH_CAP", path_cap)
+        monkeypatch.setattr(paths, "PATH_PAIR_CAP", pair_cap)
+        grid = build_J(disjoint_sum(chain_poset(2), chain_poset(3))).lattice
+        # the bottom declared first and the rest top down: from the bottom, id order
+        # meets the pairs past a small cap in the reverse of every topological order
+        upside_down = EdgeColoredPoset([grid.vertices[0], *grid.vertices[:0:-1]], list(grid.covers))
+        lattices = random_distributive_lattices(6, 40, seed=97) + [boolean_lattice(3), boolean_lattice(4), grid, upside_down]
+        errors = []
+        for L in lattices:
+            view = as_lattice(L)
+            errors.append(first_error(lambda: pair_by_pair(view)))
+            assert first_error(lambda: verify_path_colors_all(view)) == errors[-1]
+        assert any(errors)
 
     def test_long_chain_counts_without_recursion(self):
         # one ascending path through all 1201 elements, deeper than the default recursion limit

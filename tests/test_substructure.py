@@ -1,9 +1,25 @@
 """Sublattices, product closure, components, and subordinates."""
 
-import pytest
+import random
+from collections import Counter
 
-from corpus import edge_chain, m3, n5, random_vertex_posets, weak_subposet_pairs
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracles import check_sublattice_by_pairs, j_components_by_pair_bfs
+from corpus import (
+    edge_chain,
+    hexagon,
+    m3,
+    n5,
+    random_lattices,
+    random_modular_lattices,
+    random_vertex_posets,
+    weak_subposet_pairs,
+)
 from dclat import (
+    DclatError,
     EnumerationCapExceeded,
     HypothesisViolated,
     NotASublattice,
@@ -16,10 +32,12 @@ from dclat import (
     boolean_lattice,
     build_J,
     check_sublattice,
+    dcp,
     enumerate_subordinates,
     extract_j,
     isomorphic,
     j_components,
+    random_poset,
     sublattice_from_weak_subposet,
     subordinate_of,
     subordinates_by_definition,
@@ -27,9 +45,11 @@ from dclat import (
     verify_full_length_agreement,
     verify_product_closure,
     verify_subordinate_correspondence,
+    weak_subposet,
     weak_subposet_from_sublattice,
 )
 from dclat import substructure
+from dclat.paths import RankFunction
 from dclat.structures import EdgeColoredPoset
 
 
@@ -74,6 +94,21 @@ class TestCheckSublattice:
         with pytest.raises(NotASublattice) as exc:
             check_sublattice(sub, as_lattice(b3))
         assert exc.value.witness == ("a0", "a1", "join")
+
+
+    def test_meet_disagreement_seen_only_at_lower_covers(self):
+        # K is the pentagon 0 < a < 1, 0 < d < b < 1; in L, a ^ b is e, not 0, and
+        # only a, b (lower covers of 1) show it: the one pair of upper covers, a, d, agrees
+        L = EdgeColoredPoset(
+            ["0", "e", "d", "a", "b", "1"],
+            [("0", "e", 1), ("0", "d", 1), ("e", "a", 1), ("e", "b", 1), ("d", "b", 1), ("a", "1", 1), ("b", "1", 1)],
+        )
+        K = EdgeColoredPoset(
+            ["0", "a", "d", "b", "1"], [("0", "a", 1), ("0", "d", 1), ("d", "b", 1), ("a", "1", 1), ("b", "1", 1)]
+        )
+        with pytest.raises(NotASublattice, match=r"^meet of 'a', 'b' is '0' inside, 'e' in the parent$") as exc:
+            check_sublattice(K, L)
+        assert exc.value.witness == ("a", "b", "meet")
 
 
 class TestFullLengthAgreement:
@@ -214,17 +249,17 @@ class TestComponents:
     def test_structure_report(self, fig_view):
         assert verify_component_structure(fig_view).passed
 
-    def test_distances_are_compared_with_the_parent(self, monkeypatch, fig_view):
-        """Parent distances stretched by one must trip the verified split."""
-        real_bfs = substructure._bfs
-
-        def stretched(p, source, targets):
-            dist = real_bfs(p, source, targets)
-            return dist if p is not fig_view.poset else {j: d + 1 for j, d in dist.items()}
-
-        monkeypatch.setattr(substructure, "_bfs", stretched)
-        with pytest.raises(ValidationError, match="inner distance differs from parent distance"):
-            j_components(fig_view, [2])
+    def test_distances_are_compared_with_the_parent(self, fig_poset, fig_view):
+        """A parent rank planted one too high at the top must trip the verified split."""
+        L = build_J(fig_poset).lattice
+        rank = L._verdicts["rank"]
+        top = L.maximal_elements()[0]
+        L._verdicts["rank"] = RankFunction({**rank.rank, top: rank.rank[top] + 1}, rank.length)
+        bottom = j_components(fig_view, [2]).component_of(top).minimum
+        message = f"inner distance differs from parent distance at ({bottom!r}, {top!r})"
+        with pytest.raises(ValidationError) as exc:
+            j_components(L, [2])
+        assert str(exc.value) == message
 
     def test_ideal_lattice_accepted(self, fig_poset, fig_view):
         il = build_J(fig_poset)
@@ -339,3 +374,89 @@ class TestSubordinates:
 
 def _is_ideal(P, subset):
     return all(w in subset for v in subset for w in P.down_set(v))
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type, message and witness of the library error it raises."""
+    try:
+        return fn(*args)
+    except DclatError as e:
+        return type(e), str(e), getattr(e, "witness", None)
+
+
+def _embedding_outcome(fn, K, L):
+    out = _outcome(fn, K, L)
+    if isinstance(out, substructure.SublatticeEmbedding):
+        return out.sub, out.parent, out.full_length, out.edge_colored
+    return out
+
+
+FOREIGN = [m3(), n5(), hexagon(), boolean_lattice(2), boolean_lattice(3), edge_chain(0), edge_chain(2, (1, 2)), edge_chain(4)]
+
+
+def _sublattice_candidates(L, rng):
+    """Candidates K inside L: an induced subset, a foreign lattice relabeled onto L, an interval."""
+    verts = L.vertices
+    S = sorted(rng.sample(verts, rng.randint(1, len(verts))), key=L.index_of)
+    colors = {(verts[a], verts[b]): c for (a, b), c in L._edge_color.items()}
+    yield EdgeColoredPoset(S, [(a, b, colors.get((a, b), 0)) for a, b in L.induced_cover_pairs(S)])
+    M = rng.choice([M for M in FOREIGN if len(M) <= len(verts)])
+    yield M.relabel(dict(zip(M.vertices, rng.sample(verts, len(M)))))
+    s = rng.choice(verts)
+    yield as_lattice(L).interval(s, rng.choice(sorted(L.up_set(s))))
+
+
+def _sublattice_parents(seed):
+    return random_lattices(12, seed) + random_modular_lattices(8, 40, seed) + [
+        build_J(P).lattice for P in random_vertex_posets(8, 6, seed, min_n=1)
+    ]
+
+
+class TestLocalChecksMatchTheirOracles:
+    """The local sublattice test and the rank-based distance check against pair-by-pair references."""
+
+    def test_sublattice_verdicts_on_the_corpus(self):
+        rng = random.Random(71)
+        verdicts = Counter()
+        for L in _sublattice_parents(73):
+            for _ in range(4):
+                for K in _sublattice_candidates(L, rng):
+                    fast = _embedding_outcome(check_sublattice, K, L)
+                    assert fast == _embedding_outcome(check_sublattice_by_pairs, K, L)
+                    verdicts["ok" if fast[0] is K else fast[1].split()[0]] += 1
+        # both verdicts occur, and lattice candidates that fail reach the pairwise scan
+        assert verdicts["ok"] > 50 and verdicts["join"] + verdicts["meet"] > 50
+
+    def test_weakenings_and_their_reverse(self):
+        for P, Q in weak_subposet_pairs(20, seed=79):
+            K, Lq = build_J(P).lattice, build_J(weak_subposet(P, Q.covers)).lattice
+            for a, b in ((K, Lq), (Lq, K)):
+                assert _embedding_outcome(check_sublattice, a, b) == _embedding_outcome(check_sublattice_by_pairs, a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_sublattice_verdicts_under_hypothesis(self, seed):
+        rng = random.Random(seed)
+        L = rng.choice(_sublattice_parents(seed % 7))
+        for K in _sublattice_candidates(L, rng):
+            assert _embedding_outcome(check_sublattice, K, L) == _embedding_outcome(check_sublattice_by_pairs, K, L)
+
+    @pytest.mark.parametrize("name", ["fig1L.dcp", "m3.dcp", "m3xb3.dcp", "n5.dcp", "b2_mismatched.dcp"])
+    def test_components_on_the_fixtures(self, data_dir, name):
+        L = dcp.parse((data_dir / name).read_text())
+        palette = sorted(L.colors_used)
+        for mask in range(1 << len(palette)):
+            J = [c for i, c in enumerate(palette) if mask >> i & 1]
+            assert _outcome(j_components, L, J) == _outcome(j_components_by_pair_bfs, L, J)
+
+    def test_components_on_the_corpus(self):
+        for L in random_modular_lattices(12, 40, seed=83) + random_lattices(8, seed=89):
+            for J in ([1], [2], [1, 2]):
+                assert _outcome(j_components, L, J) == _outcome(j_components_by_pair_bfs, L, J)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.1, 0.9), st.integers(0, 7))
+    def test_components_under_hypothesis(self, seed, n, p, mask):
+        L = build_J(random_poset(n, p, seed)).lattice
+        J = [c for i, c in enumerate((1, 2, 3)) if mask >> i & 1]
+        assert _outcome(j_components, L, J) == _outcome(j_components_by_pair_bfs, L, J)

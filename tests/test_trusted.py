@@ -40,7 +40,9 @@ from dclat import (
     j_components,
     random_poset,
     recolor,
+    verify_transform_identities,
 )
+from dclat import birkhoff
 from dclat.birkhoff import _unique_labels
 from dclat.cli import main
 from dclat.dcp import parse
@@ -171,20 +173,24 @@ class TestBornVerdicts:
 
     def assert_verdicts_equal_the_scans(self, P):
         for il in (build_J(P), build_M(P)):
-            born = dict(il.lattice._verdicts)
-            assert set(born) == self.BORN
-            copy = EdgeColoredPoset(list(il.lattice.vertices), list(il.lattice.covers))
-            assert copy._verdicts == {}
-            fresh = as_lattice(copy)
-            assert born["lattice"] is copy._verdicts["lattice"] is True
-            assert born["diamond"] == check_diamond_colored(copy) == CheckResult(True, None)
-            assert born["balanced"] == check_topographically_balanced(copy) == CheckResult(True, None)
-            assert born["distributive"] == is_distributive(fresh) == CheckResult(True, None)
-            assert born["distributive_fast"] is is_distributive_fast(fresh) is True
-            assert born["rank"] == compute_rank(copy) == fresh.rank_function
-            assert is_modular(il.view) is is_modular(fresh) is True
-            if len(il) <= 40:
-                assert distributivity_failure_by_triples(fresh) is None
+            self.assert_store_equals_the_scans(il.lattice)
+            assert is_modular(il.view) is True
+
+    def assert_store_equals_the_scans(self, L):
+        born = dict(L._verdicts)
+        assert set(born) == self.BORN
+        copy = EdgeColoredPoset(list(L.vertices), list(L.covers))
+        assert copy._verdicts == {}
+        fresh = as_lattice(copy)
+        assert born["lattice"] is copy._verdicts["lattice"] is True
+        assert born["diamond"] == check_diamond_colored(copy) == CheckResult(True, None)
+        assert born["balanced"] == check_topographically_balanced(copy) == CheckResult(True, None)
+        assert born["distributive"] == is_distributive(fresh) == CheckResult(True, None)
+        assert born["distributive_fast"] is is_distributive_fast(fresh) is True
+        assert born["rank"] == compute_rank(copy) == fresh.rank_function
+        assert is_modular(fresh) is True
+        if len(L) <= 40:
+            assert distributivity_failure_by_triples(fresh) is None
 
     def test_verdicts_equal_the_scans_on_a_fresh_view(self, data_dir):
         for P in self.posets(data_dir):
@@ -194,6 +200,23 @@ class TestBornVerdicts:
     @given(st.integers(0, 10**6), st.integers(0, 7), st.floats(0.0, 1.0))
     def test_verdicts_equal_the_scans_on_random_posets(self, seed, n, p):
         self.assert_verdicts_equal_the_scans(random_poset(n, p, seed))
+
+    def test_verdicts_carried_through_the_transform_maps(self, data_dir, monkeypatch):
+        """The dual, recoloring and product whose irreducibles the transform identities
+        extract take their verdicts from an ideal lattice through a checked map."""
+        carried, real = [], birkhoff.as_lattice
+
+        def recording(K):
+            carried.append(K)
+            return real(K)
+
+        monkeypatch.setattr(birkhoff, "as_lattice", recording)
+        posets = self.posets(data_dir)
+        for P, Q in zip(posets, posets[1:]):
+            assert verify_transform_identities(P, Q, SIGMA).passed
+        assert len(carried) == 3 * (len(posets) - 1)
+        for K in carried:
+            self.assert_store_equals_the_scans(K)
 
     def test_extraction_from_built_lattices_scans_nothing(self, fig_poset, monkeypatch):
         from dclat import lattice, paths
