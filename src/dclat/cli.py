@@ -121,7 +121,7 @@ def _parse_sigma(text: str) -> dict[int, int]:
         if "=" not in part:
             raise ValidationError(f"bad recoloring entry {part!r}, expected OLD=NEW")
         old, new = part.split("=", 1)
-        if not old.strip().isdigit() or not new.strip().isdigit():
+        if not old.strip().isdecimal() or not new.strip().isdecimal():
             raise ValidationError(f"recoloring entries must be integers, got {part!r}")
         sigma[int(old)] = int(new)
     return sigma
@@ -130,7 +130,7 @@ def _parse_sigma(text: str) -> dict[int, int]:
 def _parse_colors(text: str) -> list[int]:
     out = []
     for part in text.split(","):
-        if not part.strip().isdigit():
+        if not part.strip().isdecimal():
             raise ValidationError(f"colors must be integers, got {part!r}")
         out.append(int(part))
     return out

@@ -25,6 +25,8 @@ from .structures import EdgeColoredPoset, Structure, VertexColoredPoset
 
 NAME_RE = re.compile(r"[A-Za-z0-9_.]+\Z")
 KINDS = ("vertex-poset", "edge-lattice")
+# A vertex or edge line as ``emit`` writes it; every other line goes through the tokenizer.
+CANONICAL_RE = re.compile(r"(?:vertex|edge ([A-Za-z0-9_.]+)) ([A-Za-z0-9_.]+)(?: color ([0-9]+))?\Z")
 
 
 @dataclass
@@ -49,7 +51,16 @@ def _col(line: str, k: int) -> int:
 
 def parse_document(text: str) -> DcpDocument:
     doc: DcpDocument | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, (raw, m) in enumerate(zip(lines, map(CANONICAL_RE.match, lines)), start=1):
+        if m and doc is not None:
+            lower, name, color = m.groups()
+            color = None if color is None else int(color)
+            if lower is None:
+                doc.vertices.append((name, color, lineno))
+            else:
+                doc.edges.append((lower, name, color, lineno))
+            continue
         line = raw.partition("#")[0].rstrip()
         if not line:
             continue
@@ -94,21 +105,26 @@ def _color(toks: list[str], k: int, line: str, lineno: int) -> int | None:
     if toks[k] != "color":
         raise ParseError("expected 'color'", lineno, _col(line, k))
     val = toks[k + 1]
-    if not val.isdigit():
+    if not val.isdecimal():
         raise ParseError(f"color must be a non-negative integer, got {val!r}", lineno, _col(line, k + 1))
     return int(val)
 
 
 def document_to_structure(doc: DcpDocument) -> Structure:
-    declared = {}
-    for name, color, line in doc.vertices:
-        if name in declared:
+    """The structure a document declares; its covers, as ids, get the constructors' own checks last."""
+    index: dict[str, int] = {}
+    for name, _, line in doc.vertices:
+        if name in index:
             raise ValidationError(f"duplicate vertex {name!r}", line)
-        declared[name] = (color, line)
-    for a, b, color, line in doc.edges:
-        for nm in (a, b):
-            if nm not in declared:
-                raise ValidationError(f"edge references undeclared vertex {nm!r}", line)
+        index[name] = len(index)
+    vertices = tuple(index)
+    try:
+        covers = [(index[a], index[b], color) for a, b, color, _ in doc.edges]
+    except KeyError:
+        for a, b, _, line in doc.edges:
+            for nm in (a, b):
+                if nm not in index:
+                    raise ValidationError(f"edge references undeclared vertex {nm!r}", line) from None
     if doc.kind == "vertex-poset":
         for name, color, line in doc.vertices:
             if color is None:
@@ -116,21 +132,19 @@ def document_to_structure(doc: DcpDocument) -> Structure:
         for a, b, color, line in doc.edges:
             if color is not None:
                 raise ValidationError("edges are uncolored in a vertex-poset", line)
-        return VertexColoredPoset(
-            [name for name, _, _ in doc.vertices],
-            [(a, b) for a, b, _, _ in doc.edges],
-            {name: color for name, color, _ in doc.vertices},
-        )
+        structure = VertexColoredPoset.__new__(VertexColoredPoset)
+        structure._init_checked(vertices, index, [(a, b) for a, b, _ in covers])
+        structure.colors = {name: color for name, color, _ in doc.vertices}
+        return structure
     for name, color, line in doc.vertices:
         if color is not None:
             raise ValidationError("vertices are uncolored in an edge-lattice", line)
     for a, b, color, line in doc.edges:
         if color is None:
             raise ValidationError(f"edge {a!r} -> {b!r} needs a color in an edge-lattice", line)
-    return EdgeColoredPoset(
-        [name for name, _, _ in doc.vertices],
-        [(a, b, c) for a, b, c, _ in doc.edges],
-    )
+    structure = EdgeColoredPoset.__new__(EdgeColoredPoset)
+    structure._init_checked(vertices, index, covers)
+    return structure
 
 
 def parse(text: str) -> Structure:

@@ -15,9 +15,8 @@ balanced, and a modular lattice is distributive iff it has exactly
 
 from __future__ import annotations
 
-from functools import reduce
-from itertools import repeat
-from typing import Iterable, NamedTuple
+from functools import partial, reduce
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import IncomparableEndpoints, NotALattice, NotModular
 from .paths import CheckResult, check_diamond_colored, check_topographically_balanced, compute_rank
@@ -201,21 +200,30 @@ def is_distributive(L: LatticeView) -> CheckResult:
     implies the other in a lattice; scanning both is a deliberate
     self-check of the bound probes.
 
-    Each r is first tested against irreducibles only.  For fixed r, f(x) =
-    r v x has f(s ^ t) = f(s) ^ f(t) for all s, t iff it has it for all s
-    and every meet-irreducible t.  For t = top it holds trivially.
-    Otherwise t = m1 ^ ... ^ mk with each mi meet-irreducible, and by
-    induction f(s ^ m1 ^ ... ^ mi) = f(s ^ ... ^ m(i-1)) ^ f(mi) = f(s) ^
-    f(m1) ^ ... ^ f(mi).  The case s = m1 gives f(t) = f(m1) ^ ... ^ f(mk),
-    hence f(s ^ t) = f(s) ^ f(t).  Dually, r ^ x preserves joins iff it
-    does so against every join-irreducible t.  So the test finds whether
-    any (s, t) fails either identity at r.  The scan stops at the least r
-    for which it does, so only that r gets the full (s, t) scan, which
-    returns the same first witness as scanning every triple would.  One
-    tested r compares |J(L)| + |M(L)| table rows of length n instead of
-    n^2 pairs.  The table rows live only while the scan runs and are
-    built on first read; the result is recorded in the poset's
-    verdict store.
+    Fix r and f(x) = r v x.  Call s *r-meet-preserving* when f(s ^ t) =
+    f(s) ^ f(t) for every t (one comparison of table rows), r
+    *join-distributive* when every s is, and dually for r ^ x.
+
+    Closure lemma.  If s1 and s2 are r-meet-preserving, f(s1 ^ s2 ^ t) =
+    f(s1) ^ f(s2 ^ t) = f(s1) ^ f(s2) ^ f(t) = f(s1 ^ s2) ^ f(t), so s1 ^
+    s2 is.  If r1 and r2 are join-distributive, (r1 v r2) v (s ^ t) = r1 v
+    ((r2 v s) ^ (r2 v t)) = (r1 v r2 v s) ^ (r1 v r2 v t), so r1 v r2 is.
+    Dually for the duals.  An element is the meet of any two of its upper
+    covers and the join of any two of its lower covers, so a property
+    closed under ^ (v) holds wherever it holds at two upper (lower) covers.
+
+    Irreducible lemma.  The maximum is r-meet-preserving and every other
+    element is a meet of meet-irreducibles, so r is join-distributive iff
+    every meet-irreducible is r-meet-preserving; dually for joins.
+
+    The scan takes r, then s, in id order, settling each property by two
+    covers where it can and testing it directly otherwise, memoised.  The
+    witness is the first r that is not both join- and meet-distributive,
+    the first s that fails to preserve meets or joins for it, and the
+    first t at which the rows of s differ.  A distributive lattice tests
+    only its minimum, maximum and irreducibles directly.  Table rows are
+    built from the reachability bitsets on first read and live only while
+    the scan runs; the result is recorded in the poset's verdict store.
     """
 
     def scan() -> CheckResult:
@@ -226,42 +234,68 @@ def is_distributive(L: LatticeView) -> CheckResult:
 
 
 class _Rows(dict):
-    """Rows of the join or meet table, each probed on first read."""
+    """Rows of the join table (from up-sets, ``join``) or the meet table, each built on first read."""
 
-    def __init__(self, probe, n: int):
+    def __init__(self, p: EdgeColoredPoset, join: bool):
         super().__init__()
-        self._probe, self._n = probe, n
+        self._sets, self._at, self._join = p._up if join else p._down, p._at, join
 
     def __missing__(self, i: int) -> list[int]:
-        row = self[i] = list(map(self._probe, repeat(i, self._n), range(self._n)))
+        at, bounds = self._at, map(self._sets[i].__and__, self._sets)
+        row = self[i] = ([at[(m & -m).bit_length() - 1] for m in bounds] if self._join
+                         else [at[m.bit_length() - 1] for m in bounds])
         return row
 
 
-def _distributes(A: _Rows, B: _Rows, r: int, irreducibles: list[int]) -> bool:
-    """r A (s B t) = (r A s) B (r A t) for every s and every t in ``irreducibles``, row by row."""
+def _distributes(A: _Rows, B: _Rows, r: int, t: int) -> bool:
+    """r A (s B t) = (r A s) B (r A t) for every s, compared as whole rows."""
     Ar = A[r]
-    return all(list(map(Ar.__getitem__, B[t])) == list(map(B[Ar[t]].__getitem__, Ar)) for t in irreducibles)
+    return list(map(Ar.__getitem__, B[t])) == list(map(B[Ar[t]].__getitem__, Ar))
+
+
+def _closed_test(covers: list[list[int]], direct: Callable[[int], bool]) -> Callable[[int], bool]:
+    """Memoised ``direct``, which holds at an id once it holds at two of its ``covers``.
+
+    Covers are decided depth first on a stack (chains may outrun the recursion
+    limit) until one fails; the id likely fails with it and is tested directly.
+    """
+    known: dict[int, bool] = {}
+
+    def test(r: int) -> bool:
+        stack = [] if r in known else [r]
+        while stack:
+            x = stack[-1]
+            got = [known.get(c) for c in covers[x]]
+            passed = got.count(True)
+            if passed < 2 <= passed + got.count(None) and False not in got:
+                stack.append(covers[x][got.index(None)])
+            else:
+                known[stack.pop()] = passed >= 2 or direct(x)
+        return known[r]
+
+    return test
 
 
 def _first_distributivity_failure(L: LatticeView) -> DistributivityWitness | None:
-    p = L.poset
-    n = len(L)
-    J, M = _Rows(L._join_id, n), _Rows(L._meet_id, n)
+    p, n = L.poset, len(L)
+    J, M = _Rows(p, True), _Rows(p, False)
     join_irr = [t for t, adj in enumerate(p._down_adj) if len(adj) == 1]
     meet_irr = [t for t, adj in enumerate(p._up_adj) if len(adj) == 1]
-    for r in range(n):
-        if _distributes(J, M, r, meet_irr) and _distributes(M, J, r, join_irr):
-            continue
-        Jr, Mr, v = J[r], M[r], p.vertices
-        for s in range(n):
-            Ms, Js = M[s], J[s]
-            MJrs, JMrs = M[Jr[s]], J[Mr[s]]
-            for t in range(n):
-                if Jr[Ms[t]] != MJrs[Jr[t]]:
-                    return DistributivityWitness(v[r], v[s], v[t], "join-over-meet")
-                if Mr[Js[t]] != JMrs[Mr[t]]:
-                    return DistributivityWitness(v[r], v[s], v[t], "meet-over-join")
-    return None
+    join_distributive = _closed_test(p._down_adj, lambda r: all(_distributes(J, M, r, t) for t in meet_irr))
+    meet_distributive = _closed_test(p._up_adj, lambda r: all(_distributes(M, J, r, t) for t in join_irr))
+    r = next((r for r in range(n) if not (join_distributive(r) and meet_distributive(r))), None)
+    if r is None:
+        return None
+    meet_preserving = _closed_test(p._up_adj, partial(_distributes, J, M, r))
+    join_preserving = _closed_test(p._down_adj, partial(_distributes, M, J, r))
+    s = next(s for s in range(n) if not (meet_preserving(s) and join_preserving(s)))
+    Jr, Mr, Ms, Js, v = J[r], M[r], M[s], J[s], p.vertices
+    MJrs, JMrs = M[Jr[s]], J[Mr[s]]
+    for t in range(n):
+        if Jr[Ms[t]] != MJrs[Jr[t]]:
+            return DistributivityWitness(v[r], v[s], v[t], "join-over-meet")
+        if Mr[Js[t]] != JMrs[Mr[t]]:
+            return DistributivityWitness(v[r], v[s], v[t], "meet-over-join")
 
 
 def is_distributive_fast(L: LatticeView) -> bool:
@@ -269,7 +303,7 @@ def is_distributive_fast(L: LatticeView) -> bool:
 
     A finite modular lattice has at least ``length`` join irreducibles,
     with equality iff it is distributive.  Agrees with the triple scan
-    everywhere (tested); use this one on larger lattices.
+    everywhere (tested).
     """
     return L.poset._verdict(
         "distributive_fast", lambda: is_modular(L) and len(L.join_irreducibles()) == L.length

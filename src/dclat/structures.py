@@ -19,7 +19,8 @@ that refers back to the structure.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
+from itertools import product, starmap
+from operator import eq
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MissingColorMapping, UnknownVertex, ValidationError
@@ -48,8 +49,11 @@ def _check_labels(vertices: tuple[str, ...], index: dict[str, int]) -> None:
             seen.add(v)
 
 
-def _check_pairs(vertices: tuple[str, ...], pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+def _check_pairs(vertices: tuple[str, ...], pairs: list[tuple[int, int]]) -> set[tuple[int, int]]:
     """The set of cover id pairs; raises on a loop or a repeated cover, in input order."""
+    seen = set(pairs)
+    if len(seen) == len(pairs) and not any(starmap(eq, pairs)):
+        return seen
     seen = set()
     for a, b in pairs:
         if a == b:
@@ -68,11 +72,12 @@ class _HasseCore:
     of an up-set intersection is therefore always a minimal element, which
     lattice computations rely on.
 
-    Each kind has two ways in.  The public constructor takes labels, checks
-    every cover, then builds the id tables.  ``_from_ids`` takes covers as
-    vertex ids and checks only the labels: the library calls it on
-    structures it derives from validated ones, whose covers are known to be
-    a transitive reduction.
+    Each kind has two ways in.  The public constructor checks labels, maps
+    covers to ids (``_init_labeled``), then ``_init_checked`` checks every
+    cover as it builds the id tables; the DCP reader, which checks its own
+    labels, calls ``_init_checked`` directly.  ``_from_ids`` checks only the
+    labels: the library calls it on structures it derives from validated
+    ones, whose covers are known to be a transitive reduction.
     """
 
     vertices: tuple[str, ...]
@@ -87,14 +92,52 @@ class _HasseCore:
         self._build(vertices, index, covers)
         return self
 
-    def _init_core(self, vertices, index, up_adj: list[list[int]], down_adj: list[list[int]]):
-        """Order tables from id-sorted adjacency lists; raises if the covers form a cycle."""
+    def _init_labeled(self, vertices: Sequence[str], covers: Iterable[tuple], width: int, shape: str) -> None:
+        """Check label covers of ``width`` items (a third is a color) in input order, then build from ids."""
+        cover_list = [tuple(c) for c in covers]
+        for c in cover_list:
+            if len(c) != width:
+                raise ValidationError(f"{shape}, got {c!r}")
+        vertices = tuple(vertices)
+        index = dict(zip(vertices, range(len(vertices))))
+        ids = []
+        for a, b, *color in cover_list:
+            for x in (a, b):
+                if x not in index:
+                    raise UnknownVertex(f"cover references undeclared vertex {x!r}")
+            if color and (not isinstance(color[0], int) or color[0] < 0):
+                raise ValidationError(f"color of edge {a!r} -> {b!r} must be a non-negative integer")
+            ids.append((index[a], index[b], *color))
+        _check_labels(vertices, index)
+        self._init_checked(vertices, index, ids)
+
+    def _init_checked(self, vertices: tuple[str, ...], index: dict[str, int], covers: Sequence[tuple]):
+        """Build from id covers over distinct labels, raising on the first bad cover.
+
+        A loop or a repeated cover is named in input order, then a cycle,
+        then a cover implied by a longer chain.
+        """
+        seen = _check_pairs(vertices, [c[:2] for c in covers])
+        self._build(vertices, index, covers)
+        self._check_reduced(seen)
+
+    def _build(self, vertices, index, pairs: Iterable[tuple[int, int]]):
+        """Adjacency and order tables from (lower id, upper id) covers; raises if they form a cycle."""
         self.vertices = vertices
         self._index = index
         self._verdicts: dict[str, object] = {}
+        n = len(vertices)
+        up_adj = [[] for _ in range(n)]
+        down_adj = [[] for _ in range(n)]
+        for a, b in pairs:
+            up_adj[a].append(b)
+            down_adj[b].append(a)
+        for adj in up_adj:
+            adj.sort()
+        for adj in down_adj:
+            adj.sort()
         self._up_adj = up_adj
         self._down_adj = down_adj
-        n = len(vertices)
 
         # Kahn topological sort; leftovers mean a cycle.
         indeg = [len(adj) for adj in down_adj]
@@ -289,32 +332,13 @@ class VertexColoredPoset(_HasseCore):
         covers: Iterable[tuple[str, str]],
         colors: Mapping[str, Color],
     ):
-        cover_list = [tuple(c) for c in covers]
-        for c in cover_list:
-            if len(c) != 2:
-                raise ValidationError(f"vertex-colored cover must be a pair, got {c!r}")
-        vertices = tuple(vertices)
-        index = dict(zip(vertices, range(len(vertices))))
-        pairs = []
-        for a, b in cover_list:
-            if a not in index:
-                raise UnknownVertex(f"cover references undeclared vertex {a!r}")
-            if b not in index:
-                raise UnknownVertex(f"cover references undeclared vertex {b!r}")
-            pairs.append((index[a], index[b]))
-        _check_labels(vertices, index)
-        seen = _check_pairs(vertices, pairs)
-        self._build(vertices, index, pairs)
-        self._check_reduced(seen)
-        col = []
-        for v in vertices:
+        self._init_labeled(vertices, covers, 2, "vertex-colored cover must be a pair")
+        for v in self.vertices:
             if v not in colors:
                 raise ValidationError(f"vertex {v!r} has no color")
-            c = colors[v]
-            if not isinstance(c, int) or c < 0:
+            if not isinstance(colors[v], int) or colors[v] < 0:
                 raise ValidationError(f"color of {v!r} must be a non-negative integer")
-            col.append(c)
-        self.colors = dict(zip(vertices, col))
+        self.colors = {v: colors[v] for v in self.vertices}
 
     @classmethod
     def _from_ids(cls, vertices: Sequence[str], pairs: Iterable[tuple[int, int]], colors: Sequence[Color]):
@@ -322,17 +346,6 @@ class VertexColoredPoset(_HasseCore):
         self = super()._from_ids(vertices, pairs)
         self.colors = dict(zip(self.vertices, colors))
         return self
-
-    def _build(self, vertices, index, pairs):
-        up_adj = [[] for _ in vertices]
-        down_adj = [[] for _ in vertices]
-        for a, b in pairs:
-            up_adj[a].append(b)
-            down_adj[b].append(a)
-        for adj in (up_adj, down_adj):
-            for lst in adj:
-                lst.sort()
-        self._init_core(vertices, index, up_adj, down_adj)
 
     @cached_property
     def _cover_pairs(self) -> frozenset[tuple[int, int]]:
@@ -375,50 +388,28 @@ class VertexColoredPoset(_HasseCore):
 class EdgeColoredPoset(_HasseCore):
     """Poset with a color attached to every cover edge.
 
-    The cover store is the per-id (neighbour, color) step tables plus
-    ``_edge_color``, which maps (lower id, upper id) to the color.  The
-    adjacency lists are read off the step tables, and ``covers`` is built
-    from ``_edge_color`` on first read.
+    The cover store is ``_edge_color``, which maps (lower id, upper id) to
+    the color.  The adjacency lists are read off its keys; the per-id
+    (neighbour, color) step tables and ``covers`` are built from it on
+    first read.
     """
 
     def __init__(self, vertices: Sequence[str], covers: Iterable[tuple[str, str, Color]]):
-        cover_list = [tuple(c) for c in covers]
-        for c in cover_list:
-            if len(c) != 3:
-                raise ValidationError(f"edge-colored cover must be a (lower, upper, color) triple, got {c!r}")
-        vertices = tuple(vertices)
-        index = dict(zip(vertices, range(len(vertices))))
-        edges = []
-        for a, b, c in cover_list:
-            if a not in index:
-                raise UnknownVertex(f"cover references undeclared vertex {a!r}")
-            if b not in index:
-                raise UnknownVertex(f"cover references undeclared vertex {b!r}")
-            if not isinstance(c, int) or c < 0:
-                raise ValidationError(f"color of edge {a!r} -> {b!r} must be a non-negative integer")
-            edges.append((index[a], index[b], c))
-        _check_labels(vertices, index)
-        seen = _check_pairs(vertices, ((a, b) for a, b, _ in edges))
-        self._build(vertices, index, edges)
-        self._check_reduced(seen)
+        self._init_labeled(vertices, covers, 3, "edge-colored cover must be a (lower, upper, color) triple")
 
     def _build(self, vertices, index, edges):
-        edge_color = {}
-        up_steps = [[] for _ in vertices]
-        down_steps = [[] for _ in vertices]
-        for a, b, c in edges:
-            edge_color[a, b] = c
-            up_steps[a].append((b, c))
-            down_steps[b].append((a, c))
-        self._edge_color = edge_color
-        self._up_steps = [tuple(sorted(s)) for s in up_steps]
-        self._down_steps = [tuple(sorted(s)) for s in down_steps]
-        self._init_core(
-            vertices,
-            index,
-            [[j for j, _ in s] for s in self._up_steps],
-            [[j for j, _ in s] for s in self._down_steps],
-        )
+        self._edge_color = {(a, b): c for a, b, c in edges}
+        super()._build(vertices, index, self._edge_color)
+
+    @cached_property
+    def _up_steps(self) -> list[tuple[tuple[int, Color], ...]]:
+        """Per id, its (upper cover id, edge color) pairs by id."""
+        return [tuple((j, self._edge_color[i, j]) for j in adj) for i, adj in enumerate(self._up_adj)]
+
+    @cached_property
+    def _down_steps(self) -> list[tuple[tuple[int, Color], ...]]:
+        """Per id, its (lower cover id, edge color) pairs by id."""
+        return [tuple((j, self._edge_color[j, i]) for j in adj) for i, adj in enumerate(self._down_adj)]
 
     @property
     def _cover_pairs(self):

@@ -9,8 +9,9 @@ the pairwise join check, the reference for the sibling-cover check in
 do the label-level bodies the library replaced with id-level ones: the
 diamond scan, the per-pair BFS distance, the atom-support Boolean test
 the cubic transitive reduction, the two-factor product built pair by
-pair, the triple-by-triple distributivity scan and the label-level rank
-BFS.  Last, the checks of the trusted paths: every structure the library
+pair, the triple-by-triple distributivity scan, the r-by-r witness scan
+that the closure-pruned one replaced, and the label-level rank BFS.
+Last, the checks of the trusted paths: every structure the library
 builds through ``_from_ids`` is rebuilt through the validating public
 constructor and must come out with the same tables.  The search-based
 bodies of ``verify_fundamental`` and ``verify_transform_identities`` and
@@ -355,6 +356,47 @@ def distributivity_failure_by_triples(view):
     M = [[view._meet_id(r, s) for s in range(n)] for r in range(n)]
     v = view.poset.vertices
     for r in range(n):
+        Jr, Mr = J[r], M[r]
+        for s in range(n):
+            Ms, Js = M[s], J[s]
+            MJrs, JMrs = M[Jr[s]], J[Mr[s]]
+            for t in range(n):
+                if Jr[Ms[t]] != MJrs[Jr[t]]:
+                    return DistributivityWitness(v[r], v[s], v[t], "join-over-meet")
+                if Mr[Js[t]] != JMrs[Mr[t]]:
+                    return DistributivityWitness(v[r], v[s], v[t], "meet-over-join")
+    return None
+
+
+def distributivity_failure_r_by_r(view):
+    """The witness scan from before the closure pruning: every r in id order gets the irreducible test.
+
+    The first r failing it gets the full (s, t) scan; table rows are probed
+    one cell at a time on first read.
+    """
+    p = view.poset
+    n = len(view)
+
+    class Rows(dict):
+        def __init__(self, probe):
+            super().__init__()
+            self.probe = probe
+
+        def __missing__(self, i):
+            row = self[i] = [self.probe(i, k) for k in range(n)]
+            return row
+
+    def distributes(A, B, r, irreducibles):
+        Ar = A[r]
+        return all([Ar[x] for x in B[t]] == [B[Ar[t]][x] for x in Ar] for t in irreducibles)
+
+    J, M = Rows(view._join_id), Rows(view._meet_id)
+    join_irr = [t for t, adj in enumerate(p._down_adj) if len(adj) == 1]
+    meet_irr = [t for t, adj in enumerate(p._up_adj) if len(adj) == 1]
+    v = p.vertices
+    for r in range(n):
+        if distributes(J, M, r, meet_irr) and distributes(M, J, r, join_irr):
+            continue
         Jr, Mr = J[r], M[r]
         for s in range(n):
             Ms, Js = M[s], J[s]

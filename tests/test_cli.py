@@ -35,6 +35,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "parse", str(bad))
         assert code == 2 and "undeclared" in err
 
+    def test_superscript_digits_are_usage_errors(self, capsys, tmp_path, data_dir):
+        # "\u00b2".isdigit() holds but int() refuses it; each input reader reports it as an error
+        bad = tmp_path / "bad.dcp"
+        bad.write_text("type edge-lattice\nvertex a\nvertex b\nedge a b color \u00b2\n")
+        m3 = str(data_dir / "m3.dcp")
+        for argv, message in [
+            (["check", str(bad), "--prop", "lattice"], "line 4, col 16: color must be a non-negative integer, got '\u00b2'"),
+            (["components", m3, "--colors", "\u00b2"], "colors must be integers, got '\u00b2'"),
+            (["transform", m3, "--op", "recolor:1=\u00b2"], "recoloring entries must be integers, got '1=\u00b2'"),
+        ]:
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_not_a_lattice_is_1(self, capsys, tmp_path):
         vee = tmp_path / "vee.dcp"
         vee.write_text("type edge-lattice\nvertex a\nvertex b\nvertex c\nedge a b color 1\nedge a c color 1\n")

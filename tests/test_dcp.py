@@ -1,5 +1,7 @@
 """DCP parsing, canonical emission, diagnostics, and DOT rendering."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from dclat import (
     ParseError,
     ValidationError,
     boolean_lattice,
+    build_J,
     cartesian_product,
     dual,
     random_poset,
@@ -63,6 +66,11 @@ class TestParse:
         with pytest.raises(ValidationError):
             parse("type edge-lattice\nvertex a\nvertex b\nedge a b\n")
 
+    def test_decimal_digits_of_any_script_are_colors(self):
+        # int() reads every Unicode decimal digit, so these parsed before superscripts were refused
+        p = parse("type vertex-poset\nvertex a color \u0663\nvertex b color 1\u0661\n")
+        assert p.colors == {"a": 3, "b": 11}
+
     def test_cycle_is_validation_error(self):
         with pytest.raises(ValidationError):
             parse("type edge-lattice\nvertex a\nvertex b\nedge a b color 1\nedge b a color 1\n")
@@ -90,6 +98,7 @@ PARSE_ERRORS = [
     (H + 'edge a \t b*\n', "line 2, col 10: invalid name 'b*'", 2, 10),
     (H + 'edge a b hue 2\n', "line 2, col 10: expected 'color'", 2, 10),
     (H + 'edge a b color 2.0\n', "line 2, col 16: color must be a non-negative integer, got '2.0'", 2, 16),
+    (H + 'vertex a color \u00b2\n', "line 2, col 16: color must be a non-negative integer, got '\u00b2'", 2, 16),
     (H + '\t  vortex a color 1\n', "line 2, col 4: unknown declaration 'vortex'", 2, 4),
     (H + 'vertex a\x0bcolor 1\n', "line 3, col 1: unknown declaration 'color'", 3, 1),
     (H + '\x0c\nvertex\xa0a color 1\n', "line 4, col 1: unknown declaration 'vertex\\xa0a'", 4, 1),
@@ -105,6 +114,81 @@ def test_parse_error_sites_pinned(text, message, line, col):
         parse_document(text)
     assert type(exc.value) is ParseError
     assert (str(exc.value), exc.value.line, exc.value.col) == (message, line, col)
+
+
+# (text, message, line) of every ValidationError that parse raises once the
+# text has tokenized: duplicate and undeclared vertices, both kinds' color
+# rules, then the cover checks in their order (loop or duplicate cover in
+# input order, cycle, transitive reduction).  The last two cases have three
+# implied covers; the one named is the first in the checker's set order.
+V = "type vertex-poset\n"
+E = "type edge-lattice\n"
+VALIDATION_ERRORS = [
+    (E + "vertex a\nvertex b\nvertex a\n", "line 4: duplicate vertex 'a'", 4),
+    (V + "vertex a color 1\nvertex a\nedge a z color 4\n", "line 3: duplicate vertex 'a'", 3),
+    (E + "vertex a\nedge z a color 1\nvertex a\n", "line 4: duplicate vertex 'a'", 4),
+    (E + "vertex a\nedge a z color 1\n", "line 3: edge references undeclared vertex 'z'", 3),
+    (E + "vertex a\nedge y z color 1\n", "line 3: edge references undeclared vertex 'y'", 3),
+    (V + "vertex a color 1\nvertex b color 2\nedge a b\nedge a q\n",
+     "line 5: edge references undeclared vertex 'q'", 5),
+    (V + "vertex a color 1\nvertex b\nedge a b color 1\n", "line 3: vertex 'b' needs a color in a vertex-poset", 3),
+    (V + "vertex a color 1\nvertex b color 2\nedge a b color 1\n", "line 4: edges are uncolored in a vertex-poset", 4),
+    (E + "vertex a\nvertex b color 2\nedge a b\n", "line 3: vertices are uncolored in an edge-lattice", 3),
+    (E + "vertex a\nvertex b\nedge a b\n", "line 4: edge 'a' -> 'b' needs a color in an edge-lattice", 4),
+    (E + "vertex a\nvertex b\nedge a b color 1\nedge b b\n",
+     "line 5: edge 'b' -> 'b' needs a color in an edge-lattice", 5),
+    (E + "vertex a\nvertex b\nedge a b color 1\nedge b b color 1\n", "loop edge on 'b'", None),
+    (V + "vertex a color 1\nvertex b color 1\nedge a b\nedge b b\nedge a b\n", "loop edge on 'b'", None),
+    (E + "vertex a\nvertex b\nedge a b color 1\nedge a b color 2\nedge b b color 1\n",
+     "duplicate cover 'a' -> 'b'", None),
+    (V + "vertex a color 1\nvertex b color 1\nedge a b\nedge a b\n", "duplicate cover 'a' -> 'b'", None),
+    (E + "vertex a\nvertex b\nvertex c\nedge a b color 1\nedge b c color 1\nedge c a color 1\n",
+     "cover relation contains a cycle", None),
+    (V + "vertex a color 1\nvertex b color 1\nvertex c color 1\nedge a b\nedge b c\nedge a c\nedge c b\n",
+     "cover relation contains a cycle", None),
+    (E + "vertex a\nvertex b\nvertex c\nedge a b color 1\nedge b c color 1\nedge a c color 1\n",
+     "cover 'a' -> 'c' is implied by a longer chain (edge set is not transitively reduced)", None),
+    (V + "vertex a color 1\nvertex b color 1\nvertex c color 1\nvertex d color 1\n"
+     "edge c d\nedge b d\nedge a d\nedge a b\nedge b c\nedge a c\n",
+     "cover 'a' -> 'd' is implied by a longer chain (edge set is not transitively reduced)", None),
+    (E + "vertex a\nvertex b\nvertex c\nvertex d\nedge c d color 1\nedge b d color 1\nedge a d color 1\n"
+     "edge a b color 1\nedge b c color 1\nedge a c color 1\n",
+     "cover 'a' -> 'd' is implied by a longer chain (edge set is not transitively reduced)", None),
+]
+
+
+@pytest.mark.parametrize("text,message,line", VALIDATION_ERRORS)
+def test_validation_error_sites_pinned(text, message, line):
+    with pytest.raises(ValidationError) as exc:
+        parse(text)
+    assert type(exc.value) is ValidationError
+    assert (str(exc.value), exc.value.line) == (message, line)
+
+
+def _respell(text: str, rng: random.Random) -> str:
+    """The same declarations with tabs, extra spaces, comments, blank lines and CRLF endings."""
+    out = []
+    for line in text.splitlines():
+        words = line.split(" ")
+        gaps = [rng.choice((" ", "  ", "\t", " \t ")) for _ in words[1:]] + [""]
+        spelled = rng.choice(("", " ", "\t")) + "".join(w + g for w, g in zip(words, gaps))
+        if rng.random() < 0.3:
+            spelled += rng.choice((" ", "\t")) + "# note " + rng.choice(("", "edge a b", "#"))
+        elif rng.random() < 0.2:
+            spelled += rng.choice((" ", "\t", "  "))
+        out.append(spelled)
+        if rng.random() < 0.2:
+            out.append(rng.choice(("", "   ", "# comment", "\t# vertex x")))
+    return rng.choice(("\n", "\r\n")).join(out) + rng.choice(("", "\n", "\r\n"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.booleans())
+def test_non_canonical_spellings_parse_alike(seed, lattice):
+    rng = random.Random(seed)
+    P = random_poset(rng.randint(0, 7), rng.uniform(0.1, 0.8), seed)
+    text = emit(build_J(P).lattice if lattice else P)
+    assert parse(_respell(text, rng)) == parse(text)
 
 
 class TestEmit:

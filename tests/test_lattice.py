@@ -1,5 +1,6 @@
 """Lattice recognition, bounds, and the classification predicates."""
 
+import functools
 import itertools
 import random
 import tracemalloc
@@ -21,6 +22,7 @@ from dclat import (
     EdgeColoredPoset,
     IncomparableEndpoints,
     NotALattice,
+    antichain_poset,
     as_lattice,
     boolean_lattice,
     build_J,
@@ -37,13 +39,15 @@ from dclat import (
 from dclat import lattice as lattice_module
 from dclat import paths
 from dclat.cli import main
-from dclat.dcp import parse
-from dclat.lattice import LatticeView, _joins_exact
+from dclat.dcp import emit, parse
+from dclat.paths import CheckResult
+from dclat.lattice import _joins_exact
 from _oracles import (
     boolean_by_supports,
     bounds_by_scan,
     distributive_by_supports,
     distributivity_failure_by_triples,
+    distributivity_failure_r_by_r,
     joins_exact_pairwise,
     modular_by_rank_identity,
 )
@@ -280,22 +284,101 @@ class TestDistributivityWitnessMatchesTriples:
             _assert_witness_matches_triples(cartesian_product(L, factor()))
 
     def test_probes_fewer_than_the_full_tables(self, monkeypatch):
-        """M3 x B5 first fails at r = 32; the rows read before it are well short of n^2 probes."""
+        """M3 x B5 first fails at r = 32; the rows built are well short of the two full tables."""
         L = cartesian_product(m3(), boolean_lattice(5))
         n = len(L)
-        calls = {"_join_id": 0, "_meet_id": 0}
-        for name in calls:
-
-            def counting(self, i, k, name=name, probe=getattr(LatticeView, name)):
-                calls[name] += 1
-                return probe(self, i, k)
-
-            monkeypatch.setattr(LatticeView, name, counting)
+        rows = _count_rows(monkeypatch)
         witness = is_distributive(as_lattice(L)).witness
         monkeypatch.undo()
         assert n == 160 and L.index_of(witness.r) == 32
-        assert calls["_join_id"] < n * n and calls["_meet_id"] < n * n
+        assert 0 < rows["built"] < n // 2
         assert witness == distributivity_failure_by_triples(as_lattice(L))
+
+    def test_rows_do_not_grow_with_the_failing_region(self, monkeypatch):
+        """In M3 x B7 a fifth of the elements fail; the search stops exploring where a cover fails."""
+        L = cartesian_product(m3(), boolean_lattice(7))
+        rows = _count_rows(monkeypatch)
+        witness = is_distributive(as_lattice(L)).witness
+        assert len(L) == 640 and L.index_of(witness.s) == 256
+        assert rows["built"] < 64
+
+
+def _count_rows(monkeypatch) -> dict:
+    """Count the join and meet table rows that the witness scans build from now on."""
+    rows = {"built": 0}
+    build = lattice_module._Rows.__missing__
+
+    def counted(self, i):
+        rows["built"] += 1
+        return build(self, i)
+
+    monkeypatch.setattr(lattice_module._Rows, "__missing__", counted)
+    return rows
+
+
+def _top_down(L: EdgeColoredPoset) -> EdgeColoredPoset:
+    """A copy of L whose ids run from the maximum down, so closure order differs from id order."""
+    return EdgeColoredPoset(list(reversed(L.vertices)), sorted(L.covers))
+
+
+def _assert_matches_r_by_r(L):
+    """The closure-pruned scan returns what the r-by-r scan does, on L and on its top-down copy."""
+    for K in (L, _top_down(L)):
+        witness = distributivity_failure_r_by_r(as_lattice(K))
+        assert is_distributive(as_lattice(K)) == CheckResult(witness is None, witness)
+    return witness
+
+
+@functools.cache
+def _generic_check_shapes():
+    """Products as the generic-check benchmark writes them: base x B_k, with a chain, or one edge recolored."""
+    out = []
+    for base in (m3, n5, hexagon):
+        products = [cartesian_product(base(), boolean_lattice(k, color=2)) for k in (4, 5, 6)]
+        covers = sorted(products[-1].covers)
+        covers[len(covers) // 2] = covers[len(covers) // 2][:2] + (9,)
+        out += products + [
+            cartesian_product(cartesian_product(base(), boolean_lattice(3)), edge_chain(2, (3,))),
+            EdgeColoredPoset(products[-1].vertices, covers),
+        ]
+    return [parse(emit(L)) for L in out]
+
+
+class TestPrunedWitnessMatchesRByR:
+    """Closure pruning names the same CheckResult as testing every r in id order."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_corpus(self, seed):
+        corpus = (
+            random_lattices(60, seed=seed)
+            + random_modular_lattices(20, 60, seed=seed)
+            + random_distributive_lattices(20, 60, seed=seed)
+        )
+        witnesses = [_assert_matches_r_by_r(L) for L in corpus]
+        assert sum(w is None for w in witnesses) >= 20 and sum(w is not None for w in witnesses) >= 20
+
+    @pytest.mark.parametrize("index", range(15))
+    def test_generic_check_shapes(self, index):
+        L = _generic_check_shapes()[index]
+        assert _assert_matches_r_by_r(L) is not None
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([m3, n5, hexagon]), st.booleans())
+    def test_products_with_ideal_lattices(self, seed, base, base_first):
+        rng = random.Random(seed)
+        ideals = build_J(random_poset(rng.randint(1, 5), rng.uniform(0.2, 0.9), seed)).lattice
+        L = cartesian_product(base(), ideals) if base_first else cartesian_product(ideals, base())
+        assert _assert_matches_r_by_r(L) is not None
+        _assert_matches_r_by_r(EdgeColoredPoset(rng.sample(L.vertices, len(L)), sorted(L.covers)))
+
+    def test_distributive_lattice_builds_rows_for_irreducibles_only(self, monkeypatch):
+        """On B_k read back from DCP, only the minimum, the maximum and the 2k irreducibles get rows."""
+        for k in (6, 10):
+            L = parse(emit(build_J(antichain_poset(k)).lattice))
+            rows = _count_rows(monkeypatch)
+            assert is_distributive(as_lattice(L)).ok
+            assert rows["built"] == 2 * k + 2
+            monkeypatch.undo()
 
 
 def _assert_predicates_match_oracles(L):
