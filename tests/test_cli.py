@@ -207,9 +207,12 @@ class TestVerifyCommand:
             monkeypatch.setattr(
                 f"{name}.check_topographically_balanced", lambda p: paths.CheckResult(True, None)
             )
-        code, out, _ = run(capsys, "verify", str(data_dir / "n5.dcp"), "--theorem", "prop1")
-        assert code == 1
-        assert "  [FAIL] balance agrees with the modular rank identity\n" in out
+        code, out, err = run(capsys, "verify", str(data_dir / "n5.dcp"), "--theorem", "prop1")
+        assert (code, err) == (1, "")
+        assert out == (
+            "FAIL distance and balance laws\n"
+            "  [FAIL] balance agrees with the modular rank identity\n"
+        )
 
     def test_verify_cor7_negative(self, capsys, data_dir):
         code, out, _ = run(capsys, "verify", str(data_dir / "b2_mismatched.dcp"), "--theorem", "cor7")
@@ -221,6 +224,64 @@ class TestVerifyCommand:
             "--with", str(data_dir / "fig5Q.dcp"),
         )
         assert code == 0, out
+
+
+class TestVerifyFailurePaths:
+    """Exit code, stdout and stderr of every way a verify run can fall short."""
+
+    @pytest.mark.parametrize(
+        "argv,exit_code,out,err",
+        [
+            *[
+                (["fig1P.dcp", "--theorem", theorem], 2, "",
+                 "error: {d}/fig1P.dcp: expected an edge-lattice document\n")
+                for theorem in ("cor7", "prop1", "prop3", "prop10", "prop12", "prop13")
+            ],
+            *[
+                (["fig1L.dcp", "--theorem", theorem], 2, "",
+                 "error: {d}/fig1L.dcp: expected a vertex-poset document\n")
+                for theorem in ("cor8", "thm11", "subord")
+            ],
+            (["fig1P.dcp", "--theorem", "cor8", "--with", "m3.dcp"], 2, "",
+             "error: {d}/m3.dcp: expected a vertex-poset document\n"),
+            (["m3.dcp", "--theorem", "prop10", "--with", "fig1P.dcp"], 2, "",
+             "error: {d}/fig1P.dcp: expected an edge-lattice document\n"),
+            (["fig1P.dcp", "--theorem", "thm11", "--with", "m3.dcp"], 2, "",
+             "error: {d}/m3.dcp: expected a vertex-poset document\n"),
+            # FILE loads before --with, so its error is the one reported
+            (["fig1L.dcp", "--theorem", "thm11", "--with", "m3.dcp"], 2, "",
+             "error: {d}/fig1L.dcp: expected a vertex-poset document\n"),
+            (["m3.dcp", "--theorem", "prop12"], 1, "property failure: lattice is not distributive\n", ""),
+            (["m3.dcp", "--theorem", "cor7"], 1, "property failure: lattice is not distributive\n", ""),
+            (["n5.dcp", "--theorem", "prop3"], 1, "property failure: lattice is not modular\n", ""),
+            (["n5.dcp", "--theorem", "prop13"], 1, "property failure: lattice is not modular\n", ""),
+            (["n5.dcp", "--theorem", "prop10"], 1, "property failure: factor 0 is not modular\n", ""),
+            (["fig1P.dcp", "--theorem", "thm11", "--with", "fig5P1.dcp"], 1,
+             "property failure: orders must share one vertex set\n", ""),
+        ],
+    )
+    def test_failure_path(self, capsys, data_dir, argv, exit_code, out, err):
+        argv = [str(data_dir / a) if a.endswith(".dcp") else a for a in argv]
+        assert run(capsys, "verify", *argv) == (exit_code, out, err.format(d=data_dir))
+
+    def test_subord_prints_each_subset_before_a_later_one_fails(self, capsys, data_dir, monkeypatch):
+        from dclat import substructure
+        from dclat.errors import EnumerationCapExceeded
+
+        search = substructure.subordinates_by_definition
+        calls = []
+
+        def failing_third(P, J):
+            calls.append(J)
+            if len(calls) == 3:
+                raise EnumerationCapExceeded("third subset over cap")
+            return search(P, J)
+
+        monkeypatch.setattr(substructure, "subordinates_by_definition", failing_third)
+        code, out, err = run(capsys, "verify", str(data_dir / "fig1P.dcp"), "--theorem", "subord")
+        golden = (data_dir / "golden" / "verify-subord-fig1P.out").read_text(encoding="utf-8")
+        assert (code, err) == (2, "error: third subset over cap\n")
+        assert out == golden[: golden.index("PASS subordinate correspondence for colors [2]")]
 
 
 class TestDeterminism:
