@@ -24,11 +24,11 @@ from corpus import (
 from dclat import (
     as_lattice,
     build_J,
-    distance,
-    distance_modular,
+    color_subsets,
     isomorphic,
     sublattice_from_weak_subposet,
     verify_component_structure,
+    verify_distance_laws,
     verify_full_length_agreement,
     verify_fundamental,
     verify_fundamental_poset,
@@ -69,17 +69,13 @@ def main() -> int:
 
     def distances():
         lattices = random_modular_lattices(n, 64, seed=seed + 1)
-        pairs = 0
         for L in lattices:
-            view = as_lattice(L)
-            for s in L.vertices:
-                for t in L.vertices:
-                    if distance(L, s, t) != distance_modular(view, s, t):
-                        return False, f"disagreement in a {len(L)}-element lattice"
-                    pairs += 1
+            if not verify_distance_laws(L, seed).passed:
+                return False, f"distance law failure in a {len(L)}-element lattice"
+        pairs = sum(len(L) * (len(L) + 1) // 2 for L in lattices)
         return True, f"{len(lattices)} modular lattices, {pairs} pairs"
 
-    results.append(timed("distance formula", distances))
+    results.append(timed("distance laws", distances))
 
     def path_colors():
         lattices = random_distributive_lattices(n, 32, seed=seed + 2)
@@ -104,9 +100,7 @@ def main() -> int:
         posets = random_vertex_posets(n, 7, seed=seed + 4, p_range=(0.15, 0.9))
         sweeps = 0
         for P in posets:
-            palette = sorted(P.colors_used)
-            for mask in range(1 << len(palette)):
-                J = [palette[i] for i in range(len(palette)) if (mask >> i) & 1]
+            for J in color_subsets(P.colors_used):
                 if not verify_subordinate_correspondence(P, J).passed:
                     return False, "correspondence failure"
                 sweeps += 1

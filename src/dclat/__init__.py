@@ -19,10 +19,10 @@ from .birkhoff import (
     extract_j,
     extract_m,
     is_birkhoff_representable,
-    principal_filter,
     principal_ideal,
     verify_fundamental,
     verify_fundamental_poset,
+    verify_interval_booleans,
     verify_transform_identities,
 )
 from .dcp import DcpDocument, emit, parse, render_dot
@@ -64,6 +64,7 @@ from .lattice import (
     is_distributive,
     is_distributive_fast,
     is_modular,
+    verify_distance_laws,
 )
 from .paths import (
     Path,
@@ -100,6 +101,7 @@ from .substructure import (
     SubposetRecovery,
     WeakeningEmbedding,
     check_sublattice,
+    color_subsets,
     enumerate_subordinates,
     j_components,
     sublattice_from_weak_subposet,
@@ -109,6 +111,7 @@ from .substructure import (
     verify_full_length_agreement,
     verify_product_closure,
     verify_subordinate_correspondence,
+    verify_weakening,
     weak_subposet,
     weak_subposet_from_sublattice,
 )

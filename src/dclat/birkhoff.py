@@ -11,6 +11,7 @@ dual, recoloring, disjoint sum, and product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -215,10 +216,6 @@ def build_M(P: VertexColoredPoset) -> IdealLattice:
 def principal_ideal(P: VertexColoredPoset, v: str) -> frozenset[str]:
     """All vertices below v, inclusive; the ideal generated by v."""
     return P.down_set(v)
-
-
-def principal_filter(P: VertexColoredPoset, v: str) -> frozenset[str]:
-    return P.up_set(v)
 
 
 @dataclass
@@ -527,3 +524,19 @@ def descendant_interval_boolean(L, t: str, D: Sequence[str]) -> IntervalBooleanR
 def ancestor_interval_boolean(L, t: str, A: Sequence[str]) -> IntervalBooleanResult:
     """Dual form: [t, join(A)] is the ideal lattice of the ancestor set A."""
     return _interval_boolean(L, t, A, "ancestor")
+
+
+def verify_interval_booleans(L) -> Report:
+    """Proposition 12 on every set of one to three descendants, and of ancestors, of each element."""
+    report = Report("descendant and ancestor intervals are Boolean at the bounds")
+    view = _coerce_view(L)
+    p = view.poset
+    ok = True
+    for t in p.vertices:
+        for near, check in ((p.descendants(t), descendant_interval_boolean),
+                            (p.ancestors(t), ancestor_interval_boolean)):
+            for size in (1, 2, 3):
+                for S in combinations(near, size):
+                    ok = check(view, t, list(S)).verdict and ok
+    report.record("every interval at the computed bound matches and is Boolean", ok)
+    return report

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NamedTuple
 
 from . import birkhoff, dcp, generators, lattice, paths, substructure
 from .errors import DclatError, EnumerationCapExceeded, ParseError, SizeCapExceeded, ValidationError
@@ -94,7 +95,6 @@ COMMAND_OPERATIONS = {
     ],
 }
 
-THEOREMS = ("ft", "cor7", "cor8", "prop1", "prop3", "prop10", "prop12", "prop13", "thm11", "subord")
 PROPS = ("ranked", "diamond", "balanced", "lattice", "modular", "distributive", "boolean")
 
 
@@ -300,188 +300,56 @@ def _cmd_transform(args) -> int:
     return 0
 
 
-def _report_exit(report) -> int:
-    for line in report.lines():
-        print(line)
-    return 0 if report.passed else 1
+class _Text(NamedTuple):
+    """Preformatted output that a suite yields in place of a Report."""
+    text: tuple[str, ...]
+    passed: bool
+
+    def lines(self) -> tuple[str, ...]:
+        return self.text
+
+
+def _cor7(L, _, __):
+    ok, witness = birkhoff.is_birkhoff_representable(L)
+    if ok:
+        return [_Text(("diamond-colored: representable; witness poset follows", dcp.emit(witness)[:-1]), True)]
+    return [_Text(("not diamond-colored: not representable",), False)]
+
+
+# theorem -> (kind of FILE, kind of --with or None where it is not read, suite);
+# a suite takes (FILE, --with or else FILE, args) and yields Reports
+VERIFY = {
+    "ft": (None, None, lambda S, _, __: [
+        birkhoff.verify_fundamental_poset(S) if isinstance(S, VertexColoredPoset) else birkhoff.verify_fundamental(S)
+    ]),
+    "cor7": (EdgeColoredPoset, None, _cor7),
+    "cor8": (VertexColoredPoset, VertexColoredPoset, lambda P, Q, args: [birkhoff.verify_transform_identities(
+        P, Q, _parse_sigma(args.sigma) if args.sigma else {c: c for c in sorted(P.colors_used | Q.colors_used)}
+    )]),
+    "prop1": (EdgeColoredPoset, None, lambda L, _, args: [lattice.verify_distance_laws(L, args.seed)]),
+    "prop3": (EdgeColoredPoset, None, lambda L, _, __: paths.verify_path_colors_all(lattice.as_lattice(L))),
+    "prop10": (EdgeColoredPoset, EdgeColoredPoset, lambda L, K, _: [
+        substructure.verify_product_closure([L, K], substructure.ProductView([L, K]).poset.vertices)
+    ]),
+    "prop12": (EdgeColoredPoset, None, lambda L, _, __: [birkhoff.verify_interval_booleans(L)]),
+    "prop13": (EdgeColoredPoset, None, lambda L, _, __: [substructure.verify_component_structure(L)]),
+    "thm11": (VertexColoredPoset, VertexColoredPoset, lambda P, Q, _: substructure.verify_weakening(P, Q)),
+    "subord": (VertexColoredPoset, None, lambda P, _, __: (
+        substructure.verify_subordinate_correspondence(P, J) for J in substructure.color_subsets(P.colors_used)
+    )),
+}
 
 
 def _cmd_verify(args) -> int:
-    theorem = args.theorem
-    if theorem == "ft":
-        structure = _load(args.file)
-        if isinstance(structure, VertexColoredPoset):
-            return _report_exit(birkhoff.verify_fundamental_poset(structure))
-        return _report_exit(birkhoff.verify_fundamental(structure))
-    if theorem == "cor7":
-        structure = _load(args.file, EdgeColoredPoset)
-        ok, witness = birkhoff.is_birkhoff_representable(structure)
-        if ok:
-            print("diamond-colored: representable; witness poset follows")
-            sys.stdout.write(dcp.emit(witness))
-            return 0
-        print("not diamond-colored: not representable")
-        return 1
-    if theorem == "cor8":
-        P = _load(args.file, VertexColoredPoset)
-        Q = _load(getattr(args, "with"), VertexColoredPoset) if getattr(args, "with") else P
-        used = sorted(P.colors_used | Q.colors_used)
-        sigma = _parse_sigma(args.sigma) if args.sigma else {c: c for c in used}
-        return _report_exit(birkhoff.verify_transform_identities(P, Q, sigma))
-    if theorem == "prop1":
-        structure = _load(args.file, EdgeColoredPoset)
-        return _report_exit(_verify_distance_laws(structure, args.seed))
-    if theorem == "prop3":
-        structure = _load(args.file, EdgeColoredPoset)
-        view = lattice.as_lattice(structure)
-        reports = paths.verify_path_colors_all(view)
-        for r in reports:
-            status = "PASS" if r.passed else "FAIL"
-            print(f"{status} paths {r.s} -> {r.t}: {r.path_count} paths, colors {list(r.color_multiset)}")
-        return 0 if all(r.passed for r in reports) else 1
-    if theorem == "prop10":
-        left = _load(args.file, EdgeColoredPoset)
-        right = _load(getattr(args, "with"), EdgeColoredPoset) if getattr(args, "with") else left
-        pv = substructure.ProductView([left, right])
-        return _report_exit(substructure.verify_product_closure([left, right], pv.poset.vertices))
-    if theorem == "prop12":
-        structure = _load(args.file, EdgeColoredPoset)
-        return _report_exit(_verify_interval_booleans(structure))
-    if theorem == "prop13":
-        structure = _load(args.file, EdgeColoredPoset)
-        return _report_exit(substructure.verify_component_structure(structure))
-    if theorem == "thm11":
-        P = _load(args.file, VertexColoredPoset)
-        Q = _load(getattr(args, "with"), VertexColoredPoset) if getattr(args, "with") else P
-        emb = substructure.sublattice_from_weak_subposet(P, Q)
-        report = substructure.verify_full_length_agreement(emb.embedding)
-        recovery = substructure.weak_subposet_from_sublattice(
-            emb.embedding.parent_view, emb.embedding.sub_view
-        )
-        for r in (report, recovery.report):
-            for line in r.lines():
-                print(line)
-        return 0 if report.passed and recovery.report.passed else 1
-    if theorem == "subord":
-        P = _load(args.file, VertexColoredPoset)
-        palette = sorted(P.colors_used)
-        ok = True
-        for mask in range(1 << len(palette)):
-            J = [palette[i] for i in range(len(palette)) if (mask >> i) & 1]
-            report = substructure.verify_subordinate_correspondence(P, J)
-            for line in report.lines():
-                print(line)
-            ok = ok and report.passed
-        return 0 if ok else 1
-    raise ValidationError(f"unknown theorem {theorem!r}")
-
-
-def _rank_identity_holds(view) -> bool:
-    """2r(x v y) - r(x) - r(y) = r(x) + r(y) - 2r(x ^ y) for all pairs; NotRanked if unranked."""
-    rank = view.rank_function.rank
-    verts = view.poset.vertices
-    return all(
-        2 * rank[view.join(x, y)] - rank[x] - rank[y] == rank[x] + rank[y] - 2 * rank[view.meet(x, y)]
-        for i, x in enumerate(verts)
-        for y in verts[i + 1 :]
-    )
-
-
-def _verify_distance_laws(structure: EdgeColoredPoset, seed: int | None):
-    """Balance, the rank identity, graph distances, and path rewriting."""
-    import random
-
-    from .report import Report
-
-    report = Report("distance and balance laws")
-    balanced = paths.check_topographically_balanced(structure).ok
-    try:
-        view = lattice.as_lattice(structure)
-        modular = _rank_identity_holds(view)
-    except DclatError:
-        view = None
-        modular = False
-    report.record("balance agrees with the modular rank identity", balanced == modular)
-    if not modular or view is None:
-        return report
-    rank = view.rank_function.rank
-    length = view.length
-    verts = structure.vertices
-    ok_dist = True
-    ok_bound = True
-    for i, s in enumerate(verts):
-        dist = paths._bfs(structure, i, range(i, len(verts)))
-        for j in range(i, len(verts)):
-            if dist[j] != paths.distance_modular(view, s, verts[j]):
-                ok_dist = False
-            if dist[j] > length:
-                ok_bound = False
-    report.record("rank formula equals graph distance on all pairs", ok_dist)
-    report.record("distances never exceed the length", ok_bound)
-    report.record(
-        "bottom-to-top distance equals the length",
-        paths.distance(structure, view.minimum, view.maximum) == length,
-    )
-    rng = random.Random(seed if seed is not None else 0)
-    samples = min(20, len(verts) * 2)
-    ok_rewrite = True
-    for _ in range(samples):
-        s = rng.choice(verts)
-        t = rng.choice(verts)
-        walk = _random_shortest_path(structure, s, t, rng)
-        mt = paths.mountainize(view, walk)
-        vl = paths.valleyize(view, walk)
-        if mt.length != walk.length or mt.apex() != view.join(s, t):
-            ok_rewrite = False
-        if vl.length != walk.length or vl.nadir() != view.meet(s, t):
-            ok_rewrite = False
-        counts = paths.ascent_descent_counts(walk)
-        if sum(a + d for a, d in counts.values()) != walk.length:
-            ok_rewrite = False
-        if paths.rank_via_path(structure, walk) != rank[walk.end]:
-            ok_rewrite = False
-    report.record("shortest paths rewrite to extremal mountain and valley paths", ok_rewrite)
-    return report
-
-
-def _random_shortest_path(structure: EdgeColoredPoset, s: str, t: str, rng) -> paths.Path:
-    # the BFS from t completes s's level, so every vertex closer to t is labelled
-    v, index = structure.vertices, structure.index_of
-    dist = paths._bfs(structure, index(t), (index(s),))
-    seq = [s]
-    cur = index(s)
-    while dist[cur]:
-        nbrs = [v[w] for adj in (structure._up_adj[cur], structure._down_adj[cur]) for w in adj
-                if dist.get(w) == dist[cur] - 1]
-        seq.append(rng.choice(sorted(nbrs)))
-        cur = index(seq[-1])
-    return paths.Path.from_vertices(structure, seq)
-
-
-def _verify_interval_booleans(structure: EdgeColoredPoset):
-    """Exhaustive small descendant/ancestor interval checks."""
-    from itertools import combinations
-
-    from .report import Report
-
-    report = Report("descendant and ancestor intervals are Boolean at the bounds")
-    view = lattice.as_lattice(structure)
-    ok = True
-    for t in structure.vertices:
-        desc = structure.descendants(t)
-        for size in (1, 2, 3):
-            for D in combinations(desc, size):
-                res = birkhoff.descendant_interval_boolean(view, t, list(D))
-                if not res.verdict:
-                    ok = False
-        anc = structure.ancestors(t)
-        for size in (1, 2, 3):
-            for A in combinations(anc, size):
-                res = birkhoff.ancestor_interval_boolean(view, t, list(A))
-                if not res.verdict:
-                    ok = False
-    report.record("every interval at the computed bound matches and is Boolean", ok)
-    return report
+    kind, with_kind, suite = VERIFY[args.theorem]
+    first = _load(args.file, kind)
+    second = _load(getattr(args, "with"), with_kind) if with_kind and getattr(args, "with") else first
+    passed = True
+    for report in suite(first, second, args):
+        for line in report.lines():
+            print(line)
+        passed = passed and report.passed
+    return 0 if passed else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -507,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite on the input")
     p.add_argument("file")
-    p.add_argument("--theorem", required=True, choices=THEOREMS)
+    p.add_argument("--theorem", required=True, choices=VERIFY)
     p.add_argument("--with", dest="with", default=None, help="second input file where applicable")
     p.add_argument("--sigma", default=None, help="recoloring map OLD=NEW[,OLD=NEW]*")
     p.add_argument("--seed", type=int, default=None)

@@ -15,11 +15,14 @@ balanced, and a modular lattice is distributive iff it has exactly
 
 from __future__ import annotations
 
+import random
 from functools import partial, reduce
 from typing import Callable, Iterable, NamedTuple
 
-from .errors import IncomparableEndpoints, NotALattice, NotModular
+from . import paths
+from .errors import DclatError, IncomparableEndpoints, NotALattice, NotModular
 from .paths import CheckResult, check_diamond_colored, check_topographically_balanced, compute_rank
+from .report import Report
 from .structures import EdgeColoredPoset, _bits
 
 
@@ -330,3 +333,84 @@ def is_boolean(L: LatticeView) -> bool:
         return len(L) == 1 << len(atoms) and is_distributive_fast(L)
 
     return L.poset._verdict("boolean", scan)
+
+
+def _rank_identity_holds(view) -> bool:
+    """2r(x v y) - r(x) - r(y) = r(x) + r(y) - 2r(x ^ y) for all pairs; NotRanked if unranked."""
+    rank = view.rank_function.rank
+    verts = view.poset.vertices
+    return all(
+        2 * rank[view.join(x, y)] - rank[x] - rank[y] == rank[x] + rank[y] - 2 * rank[view.meet(x, y)]
+        for i, x in enumerate(verts)
+        for y in verts[i + 1 :]
+    )
+
+
+def verify_distance_laws(L: EdgeColoredPoset, seed: int | None = None) -> Report:
+    """Proposition 1: balance agrees with the pairwise rank identity; where both hold,
+    the rank formula is the graph distance and sampled shortest paths (seeded by
+    ``seed``, 0 when None) rewrite to extremal mountain and valley paths.
+    """
+    report = Report("distance and balance laws")
+    balanced = paths.check_topographically_balanced(L).ok
+    try:
+        view = as_lattice(L)
+        modular = _rank_identity_holds(view)
+    except DclatError:
+        view = None
+        modular = False
+    report.record("balance agrees with the modular rank identity", balanced == modular)
+    if not modular or view is None:
+        return report
+    rank = view.rank_function.rank
+    length = view.length
+    verts = L.vertices
+    ok_dist = True
+    ok_bound = True
+    for i, s in enumerate(verts):
+        dist = paths._bfs(L, i, range(i, len(verts)))
+        for j in range(i, len(verts)):
+            if dist[j] != paths.distance_modular(view, s, verts[j]):
+                ok_dist = False
+            if dist[j] > length:
+                ok_bound = False
+    report.record("rank formula equals graph distance on all pairs", ok_dist)
+    report.record("distances never exceed the length", ok_bound)
+    report.record(
+        "bottom-to-top distance equals the length",
+        paths.distance(L, view.minimum, view.maximum) == length,
+    )
+    rng = random.Random(seed if seed is not None else 0)
+    samples = min(20, len(verts) * 2)
+    ok_rewrite = True
+    for _ in range(samples):
+        s = rng.choice(verts)
+        t = rng.choice(verts)
+        walk = _random_shortest_path(L, s, t, rng)
+        mt = paths.mountainize(view, walk)
+        vl = paths.valleyize(view, walk)
+        if mt.length != walk.length or mt.apex() != view.join(s, t):
+            ok_rewrite = False
+        if vl.length != walk.length or vl.nadir() != view.meet(s, t):
+            ok_rewrite = False
+        counts = paths.ascent_descent_counts(walk)
+        if sum(a + d for a, d in counts.values()) != walk.length:
+            ok_rewrite = False
+        if paths.rank_via_path(L, walk) != rank[walk.end]:
+            ok_rewrite = False
+    report.record("shortest paths rewrite to extremal mountain and valley paths", ok_rewrite)
+    return report
+
+
+def _random_shortest_path(structure: EdgeColoredPoset, s: str, t: str, rng) -> paths.Path:
+    # the BFS from t completes s's level, so every vertex closer to t is labelled
+    v, index = structure.vertices, structure.index_of
+    dist = paths._bfs(structure, index(t), (index(s),))
+    seq = [s]
+    cur = index(s)
+    while dist[cur]:
+        nbrs = [v[w] for adj in (structure._up_adj[cur], structure._down_adj[cur]) for w in adj
+                if dist.get(w) == dist[cur] - 1]
+        seq.append(rng.choice(sorted(nbrs)))
+        cur = index(seq[-1])
+    return paths.Path.from_vertices(structure, seq)

@@ -111,12 +111,6 @@ class Path:
             return None
         return self.vertex_sequence()[k]
 
-    def is_mountain(self) -> bool:
-        return self.is_simple() and self.apex() is not None
-
-    def is_valley(self) -> bool:
-        return self.is_simple() and self.nadir() is not None
-
     def __repr__(self):
         return f"Path({' -> '.join(self.vertex_sequence())})"
 
@@ -386,6 +380,10 @@ class PathColorReport:
     @property
     def passed(self) -> bool:
         return self.multiset_ok and self.incomparable_ok
+
+    def lines(self) -> list[str]:
+        status = "PASS" if self.passed else "FAIL"
+        return [f"{status} paths {self.s} -> {self.t}: {self.path_count} paths, colors {list(self.color_multiset)}"]
 
 
 def _ascending_paths(L, s: str, t: str) -> list[tuple[tuple[str, ...], tuple[Color, ...]]]:

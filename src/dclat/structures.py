@@ -296,9 +296,6 @@ class _HasseCore:
             out.append(tuple(self.vertices[i] for i in sorted(comp)))
         return tuple(out)
 
-    def is_connected(self) -> bool:
-        return len(self.connected_components()) <= 1
-
     # -- operations shared by both kinds -----------------------------------
     # Each kind's ``_args(color=None, flip=False, shift=0)`` returns the
     # arguments of its ``_from_ids`` after the vertices: covers as ids moved
@@ -437,15 +434,6 @@ class EdgeColoredPoset(_HasseCore):
     @property
     def colors_used(self) -> frozenset[Color]:
         return frozenset(self._edge_color.values())
-
-    def edges_of_color(self, color: Color) -> tuple[tuple[str, str], ...]:
-        return tuple(
-            sorted(
-                (self.vertices[a], self.vertices[b])
-                for (a, b), c in self._edge_color.items()
-                if c == color
-            )
-        )
 
     def induced(self, labels: Iterable[str]) -> "EdgeColoredPoset":
         """Subposet on the given vertices in the induced order.

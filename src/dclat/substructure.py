@@ -11,7 +11,7 @@ verified instance by instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .birkhoff import (
     IdealLattice,
@@ -29,7 +29,6 @@ from .errors import (
     NotModular,
     NotRanked,
     NotWeakSubposet,
-    UnknownVertex,
     ValidationError,
 )
 from .isomorphism import find_isomorphism
@@ -364,6 +363,16 @@ def weak_subposet_from_sublattice(L, K) -> SubposetRecovery:
     return SubposetRecovery(phi, recovered, report)
 
 
+def verify_weakening(P: VertexColoredPoset, Q) -> list[Report]:
+    """Theorem 11 both ways: the rank and cover agreement of the full-length
+    sublattice that the ideals of P form among those of a weakening Q, then
+    the recovery of a weak subposet from it.
+    """
+    emb = sublattice_from_weak_subposet(P, Q).embedding
+    agreement = verify_full_length_agreement(emb)
+    return [agreement, weak_subposet_from_sublattice(emb.parent_view, emb.sub_view).report]
+
+
 @dataclass
 class ComponentInfo:
     labels: tuple[str, ...]
@@ -376,12 +385,6 @@ class ComponentInfo:
 class JComponentDecomposition:
     colors: frozenset[int]
     components: tuple[ComponentInfo, ...]
-
-    def component_of(self, label: str) -> ComponentInfo:
-        for comp in self.components:
-            if label in comp.poset._index:
-                return comp
-        raise UnknownVertex(f"unknown vertex {label!r}")
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(len(c.labels) for c in self.components)
@@ -432,6 +435,12 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
     return JComponentDecomposition(J, tuple(infos))
 
 
+def color_subsets(colors: Iterable[int]) -> Iterator[list[int]]:
+    """Every subset of ``colors``, each sorted, counting in binary over the sorted palette."""
+    palette = sorted(colors)
+    return ([c for i, c in enumerate(palette) if mask >> i & 1] for mask in range(1 << len(palette)))
+
+
 def verify_component_structure(L, colors: Iterable[int] | None = None) -> Report:
     """Run the component decomposition, with verification, for color subsets.
 
@@ -439,10 +448,7 @@ def verify_component_structure(L, colors: Iterable[int] | None = None) -> Report
     """
     lv = _coerce_view(L)
     report = Report("color-restricted components are verified sublattices")
-    palette = sorted(lv.poset.colors_used)
-    subsets = [list(colors)] if colors is not None else [
-        [c for i, c in enumerate(palette) if mask >> i & 1] for mask in range(1 << len(palette))
-    ]
+    subsets = [list(colors)] if colors is not None else color_subsets(lv.poset.colors_used)
     for J in subsets:
         decomp = j_components(lv, J, verify=True)
         total = sum(decomp.sizes())

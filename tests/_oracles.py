@@ -413,7 +413,7 @@ def rank_by_labels(p):
     """Rank by a label-level BFS from the first vertex, then a pass over every cover."""
     if len(p) == 0:
         raise NotConnected("empty poset has no rank function")
-    if not p.is_connected():
+    if len(p.connected_components()) > 1:
         raise NotConnected("rank functions are only unique on connected posets")
     level = {p.vertices[0]: 0}
     queue = deque([p.vertices[0]])

@@ -30,6 +30,7 @@ from dclat import (
     principal_ideal,
     verify_fundamental,
     verify_fundamental_poset,
+    verify_interval_booleans,
     verify_transform_identities,
 )
 from dclat import birkhoff
@@ -389,6 +390,12 @@ class TestIntervalBoolean:
                         match = find_isomorphism(inner, target) is not None
                         contains = set(D) <= set(inner.vertices)
                         assert not (match and contains)
+
+    def test_suite_over_small_sets(self, fig_lattice):
+        report = verify_interval_booleans(fig_lattice)
+        assert report.passed and len(report.checks) == 1
+        with pytest.raises(NotDistributive):
+            verify_interval_booleans(m3())
 
     def test_invalid_descendant_set(self, fig_view):
         with pytest.raises(InvalidDescendantSet):

@@ -34,6 +34,7 @@ from dclat import (
     isomorphic,
     random_poset,
     verify_component_structure,
+    verify_distance_laws,
     verify_fundamental,
 )
 from dclat import lattice as lattice_module
@@ -441,6 +442,18 @@ class TestInterval:
                     for y in inner:
                         assert view.join(x, y) in inner
                         assert view.meet(x, y) in inner
+
+
+class TestDistanceLaws:
+    def test_modular_lattices_pass_every_check(self):
+        for L in random_modular_lattices(10, 32, seed=5):
+            report = verify_distance_laws(L, seed=1)
+            assert report.passed and len(report.checks) == 5
+
+    def test_non_modular_lattices_stop_at_the_agreement(self):
+        for L in (n5(), hexagon()):
+            report = verify_distance_laws(L)
+            assert report.checks == [("balance agrees with the modular rank identity", True)]
 
 
 class TestBoolean:

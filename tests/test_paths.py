@@ -371,7 +371,7 @@ class TestRewrites:
                 walk = _shortest_walk(L, s, t, rng)
                 out = mountainize(view, walk)
                 assert out.length <= walk.length
-                assert out.is_mountain()
+                assert out.is_simple() and out.apex() is not None
                 again = mountainize(view, out)
                 assert again.vertex_sequence() == out.vertex_sequence()
 
@@ -432,6 +432,10 @@ def _shortest_walk(L, s, t, rng):
 
 
 class TestPathColors:
+    def test_report_prints_one_line(self):
+        rep = paths.PathColorReport("a", "b", 2, (2, 1), multiset_ok=False)
+        assert rep.lines() == ["FAIL paths a -> b: 2 paths, colors [2, 1]"]
+
     def test_unique_path_chain(self):
         chain = edge_chain(3, (1, 2))
         view = as_lattice(chain)

@@ -32,6 +32,7 @@ from dclat import (
     boolean_lattice,
     build_J,
     check_sublattice,
+    color_subsets,
     dcp,
     enumerate_subordinates,
     extract_j,
@@ -45,6 +46,7 @@ from dclat import (
     verify_full_length_agreement,
     verify_product_closure,
     verify_subordinate_correspondence,
+    verify_weakening,
     weak_subposet,
     weak_subposet_from_sublattice,
 )
@@ -164,6 +166,13 @@ class TestProductClosure:
 
 
 class TestWeakening:
+    def test_suite_reports_agreement_then_recovery(self):
+        for P, Q in weak_subposet_pairs(10, seed=3):
+            agreement, recovery = verify_weakening(P, Q)
+            assert agreement.name == "full-length sublattice rank and cover agreement"
+            assert recovery.name == "weak subposet recovered from a full-length sublattice"
+            assert agreement.passed and recovery.passed
+
     def test_equal_orders(self, fig_poset):
         emb = sublattice_from_weak_subposet(fig_poset, fig_poset)
         assert emb.embedding.full_length
@@ -223,6 +232,10 @@ class TestRecovery:
 
 
 class TestComponents:
+    def test_color_subsets_count_in_binary_over_the_sorted_palette(self):
+        assert list(color_subsets({3, 1})) == [[], [1], [3], [1, 3]]
+        assert list(color_subsets([])) == [[]]
+
     def test_all_colors_single_component(self, fig_view):
         decomp = j_components(fig_view, fig_view.poset.colors_used)
         assert decomp.sizes() == (15,)
@@ -255,7 +268,7 @@ class TestComponents:
         rank = L._verdicts["rank"]
         top = L.maximal_elements()[0]
         L._verdicts["rank"] = RankFunction({**rank.rank, top: rank.rank[top] + 1}, rank.length)
-        bottom = j_components(fig_view, [2]).component_of(top).minimum
+        bottom = next(c.minimum for c in j_components(fig_view, [2]).components if top in c.labels)
         message = f"inner distance differs from parent distance at ({bottom!r}, {top!r})"
         with pytest.raises(ValidationError) as exc:
             j_components(L, [2])
