@@ -13,7 +13,16 @@ import sys
 from typing import NamedTuple
 
 from . import birkhoff, dcp, generators, lattice, paths, substructure
-from .errors import DclatError, EnumerationCapExceeded, ParseError, SizeCapExceeded, ValidationError
+from .errors import (
+    DclatError,
+    EnumerationCapExceeded,
+    InvalidSpec,
+    MissingColorMapping,
+    ParseError,
+    SizeCapExceeded,
+    UnknownVertex,
+    ValidationError,
+)
 from .structures import (
     EdgeColoredPoset,
     VertexColoredPoset,
@@ -426,10 +435,8 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (ParseError, ValidationError, SizeCapExceeded, EnumerationCapExceeded) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ParseError, ValidationError, UnknownVertex, InvalidSpec, MissingColorMapping,
+            SizeCapExceeded, EnumerationCapExceeded, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DclatError as e:

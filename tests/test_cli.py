@@ -58,6 +58,26 @@ class TestExitCodes:
     def test_usage_error_is_2(self, capsys):
         assert main(["check"]) == 2
 
+    def test_unknown_vertex_is_2(self, capsys, data_dir):
+        code, out, err = run(capsys, "dist", str(data_dir / "fig1L.dcp"), "--from", "nope", "--to", "v5")
+        assert (code, out, err) == (2, "", "error: unknown vertex 'nope'\n")
+
+    def test_invalid_generator_spec_is_2(self, capsys):
+        for argv, message in [
+            (["--kind", "chain", "-n", "-1"], "n must be non-negative"),
+            (["--kind", "random", "-n", "5", "-p", "1.5"], "edge probability must lie in [0, 1]"),
+        ]:
+            code, out, err = run(capsys, "gen", *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_partial_recoloring_is_2(self, capsys, data_dir):
+        code, out, err = run(capsys, "transform", str(data_dir / "m3.dcp"), "--op", "recolor:2=3")
+        assert (code, out, err) == (2, "", "error: recoloring undefined on colors [1]\n")
+
+    def test_partial_sigma_is_2(self, capsys, data_dir):
+        code, out, err = run(capsys, "verify", str(data_dir / "fig1P.dcp"), "--theorem", "cor8", "--sigma", "1=2")
+        assert (code, out, err) == (2, "", "error: recoloring undefined on colors [2]\n")
+
     def test_prop3_past_its_pair_cap_is_2(self, capsys, data_dir, monkeypatch):
         from dclat import paths
 
