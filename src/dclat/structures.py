@@ -49,11 +49,10 @@ def _check_labels(vertices: tuple[str, ...], index: dict[str, int]) -> None:
             seen.add(v)
 
 
-def _check_pairs(vertices: tuple[str, ...], pairs: list[tuple[int, int]]) -> set[tuple[int, int]]:
-    """The set of cover id pairs; raises on a loop or a repeated cover, in input order."""
-    seen = set(pairs)
-    if len(seen) == len(pairs) and not any(starmap(eq, pairs)):
-        return seen
+def _check_pairs(vertices: tuple[str, ...], pairs: list[tuple[int, int]]) -> None:
+    """Raise on the first loop or repeated cover among the id pairs, in input order."""
+    if len(set(pairs)) == len(pairs) and not any(starmap(eq, pairs)):
+        return
     seen = set()
     for a, b in pairs:
         if a == b:
@@ -61,7 +60,6 @@ def _check_pairs(vertices: tuple[str, ...], pairs: list[tuple[int, int]]) -> set
         if (a, b) in seen:
             raise ValidationError(f"duplicate cover {vertices[a]!r} -> {vertices[b]!r}")
         seen.add((a, b))
-    return seen
 
 
 class _HasseCore:
@@ -115,11 +113,12 @@ class _HasseCore:
         """Build from id covers over distinct labels, raising on the first bad cover.
 
         A loop or a repeated cover is named in input order, then a cycle,
-        then a cover implied by a longer chain.
+        then the first cover in input order implied by a longer chain.
         """
-        seen = _check_pairs(vertices, [c[:2] for c in covers])
+        pairs = [c[:2] for c in covers]
+        _check_pairs(vertices, pairs)
         self._build(vertices, index, covers)
-        self._check_reduced(seen)
+        self._check_reduced(pairs)
 
     def _build(self, vertices, index, pairs: Iterable[tuple[int, int]]):
         """Adjacency and order tables from (lower id, upper id) covers; raises if they form a cycle."""

@@ -120,7 +120,7 @@ def test_parse_error_sites_pinned(text, message, line, col):
 # text has tokenized: duplicate and undeclared vertices, both kinds' color
 # rules, then the cover checks in their order (loop or duplicate cover in
 # input order, cycle, transitive reduction).  The last two cases have three
-# implied covers; the one named is the first in the checker's set order.
+# implied covers; the one named is the first in input order.
 V = "type vertex-poset\n"
 E = "type edge-lattice\n"
 VALIDATION_ERRORS = [
@@ -150,10 +150,10 @@ VALIDATION_ERRORS = [
      "cover 'a' -> 'c' is implied by a longer chain (edge set is not transitively reduced)", None),
     (V + "vertex a color 1\nvertex b color 1\nvertex c color 1\nvertex d color 1\n"
      "edge c d\nedge b d\nedge a d\nedge a b\nedge b c\nedge a c\n",
-     "cover 'a' -> 'd' is implied by a longer chain (edge set is not transitively reduced)", None),
+     "cover 'b' -> 'd' is implied by a longer chain (edge set is not transitively reduced)", None),
     (E + "vertex a\nvertex b\nvertex c\nvertex d\nedge c d color 1\nedge b d color 1\nedge a d color 1\n"
      "edge a b color 1\nedge b c color 1\nedge a c color 1\n",
-     "cover 'a' -> 'd' is implied by a longer chain (edge set is not transitively reduced)", None),
+     "cover 'b' -> 'd' is implied by a longer chain (edge set is not transitively reduced)", None),
 ]
 
 
