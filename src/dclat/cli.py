@@ -32,78 +32,6 @@ from .structures import (
     recolor,
 )
 
-# Which operations each subcommand reaches; every public operation appears
-# exactly once (enforced by the test suite).
-COMMAND_OPERATIONS = {
-    "parse": ["dcp.parse", "dcp.emit"],
-    "render": ["dcp.render_dot"],
-    "gen": ["generators.generate", "generators.random_poset"],
-    "check": [
-        "paths.compute_rank",
-        "paths.check_diamond_colored",
-        "paths.check_topographically_balanced",
-        "lattice.as_lattice",
-        "lattice.is_modular",
-        "lattice.is_distributive",
-        "lattice.is_boolean",
-        "LatticeView.join_all",
-        "LatticeView.meet_all",
-    ],
-    "dist": [
-        "paths.distance",
-        "paths.distance_modular",
-        "EdgeColoredPoset.leq",
-    ],
-    "birkhoff": [
-        "birkhoff.build_J",
-        "birkhoff.build_M",
-        "birkhoff.extract_j",
-        "birkhoff.extract_m",
-    ],
-    "components": [
-        "substructure.j_components",
-        "EdgeColoredPoset.descendants",
-        "EdgeColoredPoset.ancestors",
-    ],
-    "subordinates": [
-        "substructure.subordinate_of",
-        "substructure.enumerate_subordinates",
-    ],
-    "transform": [
-        "structures.dual",
-        "structures.recolor",
-        "structures.disjoint_sum",
-        "structures.cartesian_product",
-    ],
-    "verify": [
-        "isomorphism.find_isomorphism",
-        "isomorphism.isomorphic",
-        "birkhoff.verify_fundamental",
-        "birkhoff.verify_fundamental_poset",
-        "birkhoff.is_birkhoff_representable",
-        "birkhoff.verify_transform_identities",
-        "birkhoff.cover_color_profile",
-        "birkhoff.principal_ideal",
-        "birkhoff.descendant_interval_boolean",
-        "birkhoff.ancestor_interval_boolean",
-        "LatticeView.interval",
-        "paths.rank_via_path",
-        "paths.ascent_descent_counts",
-        "paths.mountainize",
-        "paths.valleyize",
-        "paths.verify_path_colors",
-        "substructure.check_sublattice",
-        "substructure.verify_full_length_agreement",
-        "substructure.weak_subposet",
-        "substructure.sublattice_from_weak_subposet",
-        "substructure.weak_subposet_from_sublattice",
-        "substructure.verify_product_closure",
-        "substructure.verify_component_structure",
-        "substructure.subordinates_by_definition",
-        "substructure.verify_subordinate_correspondence",
-    ],
-}
-
 PROPS = ("ranked", "diamond", "balanced", "lattice", "modular", "distributive", "boolean")
 
 

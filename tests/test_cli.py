@@ -4,7 +4,7 @@ import pytest
 
 import dclat
 from dclat import cli, paths
-from dclat.cli import COMMAND_OPERATIONS, main
+from dclat.cli import main
 from dclat.dcp import parse
 
 
@@ -401,6 +401,83 @@ class TestGoldenOutput:
         assert out == (data_dir / "golden" / golden).read_text(encoding="utf-8")
 
 
+# Which operations each subcommand reaches; every public operation appears
+# exactly once.
+COMMAND_OPERATIONS = {
+    "parse": ["dcp.parse", "dcp.emit"],
+    "render": ["dcp.render_dot"],
+    "gen": ["generators.generate", "generators.random_poset"],
+    "check": [
+        "paths.compute_rank",
+        "paths.check_diamond_colored",
+        "paths.check_topographically_balanced",
+        "lattice.as_lattice",
+        "lattice.is_modular",
+        "lattice.is_distributive",
+        "lattice.is_boolean",
+        "LatticeView.join_all",
+        "LatticeView.meet_all",
+    ],
+    "dist": [
+        "paths.distance",
+        "paths.distance_modular",
+        "EdgeColoredPoset.leq",
+    ],
+    "birkhoff": [
+        "birkhoff.build_J",
+        "birkhoff.build_M",
+        "birkhoff.extract_j",
+        "birkhoff.extract_m",
+    ],
+    "components": [
+        "substructure.j_components",
+        "EdgeColoredPoset.descendants",
+        "EdgeColoredPoset.ancestors",
+    ],
+    "subordinates": [
+        "substructure.subordinate_of",
+        "substructure.enumerate_subordinates",
+    ],
+    "transform": [
+        "structures.dual",
+        "structures.recolor",
+        "structures.disjoint_sum",
+        "structures.cartesian_product",
+    ],
+    "verify": [
+        "isomorphism.find_isomorphism",
+        "isomorphism.isomorphic",
+        "birkhoff.verify_fundamental",
+        "birkhoff.verify_fundamental_poset",
+        "birkhoff.is_birkhoff_representable",
+        "birkhoff.verify_transform_identities",
+        "birkhoff.cover_color_profile",
+        "birkhoff.principal_ideal",
+        "birkhoff.descendant_interval_boolean",
+        "birkhoff.ancestor_interval_boolean",
+        "birkhoff.verify_interval_booleans",
+        "LatticeView.interval",
+        "paths.rank_via_path",
+        "paths.ascent_descent_counts",
+        "paths.mountainize",
+        "paths.valleyize",
+        "paths.verify_path_colors",
+        "lattice.verify_distance_laws",
+        "substructure.check_sublattice",
+        "substructure.verify_full_length_agreement",
+        "substructure.verify_weakening",
+        "substructure.weak_subposet",
+        "substructure.sublattice_from_weak_subposet",
+        "substructure.weak_subposet_from_sublattice",
+        "substructure.verify_product_closure",
+        "substructure.verify_component_structure",
+        "substructure.color_subsets",
+        "substructure.subordinates_by_definition",
+        "substructure.verify_subordinate_correspondence",
+    ],
+}
+
+
 class TestCoverageTable:
     def test_every_operation_listed_exactly_once(self):
         listed = [op for ops in COMMAND_OPERATIONS.values() for op in ops]
@@ -417,20 +494,21 @@ class TestCoverageTable:
                     "distance", "distance_modular", "rank_via_path", "ascent_descent_counts",
                     "mountainize", "valleyize", "verify_path_colors",
                 ],
-                "lattice": ["as_lattice", "is_modular", "is_distributive", "is_boolean"],
+                "lattice": ["as_lattice", "is_modular", "is_distributive", "is_boolean", "verify_distance_laws"],
                 "birkhoff": [
                     "build_J", "build_M", "extract_j", "extract_m",
                     "verify_fundamental", "verify_fundamental_poset",
                     "is_birkhoff_representable", "verify_transform_identities",
                     "cover_color_profile", "principal_ideal",
                     "descendant_interval_boolean", "ancestor_interval_boolean",
+                    "verify_interval_booleans",
                 ],
                 "substructure": [
                     "check_sublattice", "verify_full_length_agreement", "weak_subposet",
                     "sublattice_from_weak_subposet", "weak_subposet_from_sublattice",
                     "verify_product_closure", "j_components", "verify_component_structure",
                     "subordinate_of", "enumerate_subordinates", "subordinates_by_definition",
-                    "verify_subordinate_correspondence",
+                    "verify_subordinate_correspondence", "verify_weakening", "color_subsets",
                 ],
             }.items()
             for name in names
