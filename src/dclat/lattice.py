@@ -357,10 +357,9 @@ def verify_distance_laws(L: EdgeColoredPoset, seed: int | None = None) -> Report
         view = as_lattice(L)
         modular = _rank_identity_holds(view)
     except DclatError:
-        view = None
         modular = False
     report.record("balance agrees with the modular rank identity", balanced == modular)
-    if not modular or view is None:
+    if not modular:
         return report
     rank = view.rank_function.rank
     length = view.length
