@@ -247,17 +247,19 @@ class _Text(NamedTuple):
 
 
 def _cor7(L, _, __):
+    """Corollary 7, with the witness poset printed as DCP text."""
     ok, witness = birkhoff.is_birkhoff_representable(L)
-    if ok:
-        return [_Text(("diamond-colored: representable; witness poset follows", dcp.emit(witness)[:-1]), True)]
-    return [_Text(("not diamond-colored: not representable",), False)]
+    if not ok:
+        return [_Text(("not diamond-colored: not representable",), False)]
+    return [_Text(("diamond-colored: representable; witness poset follows", dcp.emit(witness)[:-1]), True)]
 
 
 # theorem -> (kind of FILE, kind of --with or None where it is not read, suite);
 # a suite takes (FILE, --with or else FILE, args) and yields Reports
 VERIFY = {
     "ft": (None, None, lambda S, _, __: [
-        birkhoff.verify_fundamental_poset(S) if isinstance(S, VertexColoredPoset) else birkhoff.verify_fundamental(S)
+        birkhoff.verify_fundamental_poset(S) if isinstance(S, VertexColoredPoset)
+        else birkhoff.verify_fundamental(S)
     ]),
     "cor7": (EdgeColoredPoset, None, _cor7),
     "cor8": (VertexColoredPoset, VertexColoredPoset, lambda P, Q, args: [birkhoff.verify_transform_identities(
@@ -272,7 +274,8 @@ VERIFY = {
     "prop13": (EdgeColoredPoset, None, lambda L, _, __: [substructure.verify_component_structure(L)]),
     "thm11": (VertexColoredPoset, VertexColoredPoset, lambda P, Q, _: substructure.verify_weakening(P, Q)),
     "subord": (VertexColoredPoset, None, lambda P, _, __: (
-        substructure.verify_subordinate_correspondence(P, J) for J in substructure.color_subsets(P.colors_used)
+        substructure.verify_subordinate_correspondence(P, J)
+        for J in substructure.color_subsets(P.colors_used)
     )),
 }
 
