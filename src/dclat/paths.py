@@ -87,10 +87,6 @@ class Path:
     def vertex_sequence(self) -> tuple[str, ...]:
         return (self.start,) + tuple(s.target for s in self.steps)
 
-    def is_simple(self) -> bool:
-        seq = self.vertex_sequence()
-        return len(set(seq)) == len(seq)
-
     def apex(self) -> str | None:
         """The peak vertex when the path ascends then descends, else None."""
         dirs = [s.ascending for s in self.steps]
