@@ -343,6 +343,13 @@ class TestGoldenOutput:
             (["check", "n5.dcp", "--prop", "balanced"], "check-balanced-n5.out", 1),
             (["check", "m3.dcp", "--prop", "balanced"], "check-balanced-m3.out", 0),
             (["components", "fig1L.dcp", "--colors", "2"], "components-2-fig1L.out", 0),
+            (["components", "fig1L.dcp", "--colors", "1"], "components-1-fig1L.out", 0),
+            (["components", "fig1L.dcp", "--colors", "1,2"], "components-12-fig1L.out", 0),
+            (["components", "m3xb3.dcp", "--colors", "1"], "components-1-m3xb3.out", 0),
+            (["components", "n5.dcp", "--colors", "1"], "components-1-n5.out", 1),
+            (["components", "b2_mismatched.dcp", "--colors", "1"], "components-1-b2_mismatched.out", 1),
+            (["verify", "m3xb3.dcp", "--theorem", "prop13"], "verify-prop13-m3xb3.out", 0),
+            (["verify", "m3.dcp", "--theorem", "prop13"], "verify-prop13-m3.out", 0),
             (["subordinates", "fig1P.dcp", "--colors", "1,2"], "subordinates-12-fig1P.out", 0),
             (["verify", "fig1P.dcp", "--theorem", "subord"], "verify-subord-fig1P.out", 0),
             (["verify", "fig1L.dcp", "--theorem", "prop13"], "verify-prop13-fig1L.out", 0),
