@@ -11,6 +11,7 @@ verified instance by instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 from .birkhoff import (
@@ -373,12 +374,32 @@ def verify_weakening(P: VertexColoredPoset, Q) -> list[Report]:
     return [agreement, weak_subposet_from_sublattice(emb.parent_view, emb.sub_view).report]
 
 
-@dataclass
 class ComponentInfo:
-    labels: tuple[str, ...]
-    poset: EdgeColoredPoset
-    minimum: str
-    maximum: str
+    """One J-component: its labels in id order, its extremes, and ``poset``, its J-colored order.
+
+    ``poset`` may be given as a function of no arguments, called on first
+    read.  Equality compares all four fields, as a dataclass's would.
+    """
+
+    def __init__(self, labels: tuple[str, ...], poset, minimum: str, maximum: str):
+        self.labels, self._poset, self.minimum, self.maximum = labels, poset, minimum, maximum
+
+    @property
+    def poset(self) -> EdgeColoredPoset:
+        if not isinstance(self._poset, EdgeColoredPoset):
+            self._poset = self._poset()
+        return self._poset
+
+    def _fields(self):
+        return self.labels, self.poset, self.minimum, self.maximum
+
+    def __eq__(self, other):
+        return self._fields() == other._fields() if type(other) is ComponentInfo else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"ComponentInfo({self.labels!r}, minimum={self.minimum!r}, maximum={self.maximum!r})"
 
 
 @dataclass
@@ -390,48 +411,98 @@ class JComponentDecomposition:
         return tuple(len(c.labels) for c in self.components)
 
 
+def _component_poset(p: EdgeColoredPoset, ids: list[int], J: frozenset[int]) -> EdgeColoredPoset:
+    """The component on p's sorted ``ids``; its J-colored edges are its covers."""
+    new = dict(zip(ids, range(len(ids))))
+    edges = [(new[a], new[b], c) for a in ids for b, c in p._up_steps[a] if c in J]
+    return EdgeColoredPoset._from_ids([p.vertices[i] for i in ids], edges)
+
+
 def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDecomposition:
     """Split a diamond-colored modular lattice along edges with colors in J.
 
-    Components come in min-id order, each in the induced J-colored order.
-    With ``verify`` each is checked to be an edge-colored sublattice (so
-    closed under the parent's bounds), diamond-colored, modular,
-    distributive whenever the parent is, with inner distances equal to the
-    parent's: d(x, y) = r(x) + r(y) - 2 r(x ^ y) in both, and they share
-    meets, so that holds iff the parent's rank minus the component's is
-    constant.  The tests check the extremes against ``subordinate_of``.
+    One search over L's J-colored edges finds the components, in min-id
+    order.  No component is built as a lattice: its extremes are its
+    elements with no J-colored edge down, and up, and its ``poset`` is
+    built on first read.
+
+    Lemma.  Let L be a diamond-colored modular lattice (``_diamond_modular``
+    checks it) and C a component.  (1) If w is covered by a != b along
+    J-colored edges, a v b covers a and b by modularity, and diamond
+    coloring gives a -> a v b the color of w -> b and b -> a v b that of
+    w -> a.  Dually a ^ b is covered by a and b along J-colored edges.
+    (2) Peak to valley: in a J-zigzag, a peak a <. w >. b becomes the
+    valley a >. a ^ b <. b through the meet of its two ends, by (1).  The
+    rank sum drops each time, so any u, v in C are joined by a J-chain down
+    from u to some m and a J-chain m = c0 <. c1 <. ... <. ck = v.  (3)
+    Ladder: for x >= ci, x v c(i+1) is x v ci or covers it, by modularity.
+    If it covers, take a maximal chain ci = y0 <. ... <. yt = x v ci; each
+    yj v c(i+1) covers yj, and two consecutive rungs yj -> yj v c(i+1) are
+    opposite edges of a diamond, so every rung keeps the color of ci ->
+    c(i+1).  With x = u, u climbs to u v v along J-colored edges; dually
+    u ^ v is reached from u.  So C is closed under L's joins and meets,
+    and u <= v in L puts v on a J-chain up from u: C's J-order is L's
+    order on C, and C's covers are its J-colored edges.  Hence C is
+    bounded, with the extremes above as its only elements with no
+    J-colored edge down, or up.  A diamond of C is one of L, so C is
+    diamond-colored; it is modular, and distributive when L is, as a
+    sublattice; every cover of C is one of L, so C is ranked by L's rank
+    minus r(min C); and d(x, y) = r(x) + r(y) - 2 r(x ^ y) gives the same
+    distances in C as in L, as meets agree.
+
+    The bounds are always checked.  With ``verify``, step (1) is checked
+    for every J-colored sibling pair through L's own ``_join_id`` and
+    ``_meet_id``, and L's recorded rank minus the depth from min C along
+    J-colored edges must be constant, so a wrong probe or a wrong recorded
+    rank of L is caught.  A sibling pair that fails builds its component and
+    lets ``check_sublattice`` name the first pair whose bound differs; if
+    none differs, L's recorded verdicts were wrong, and the pair is named.
+    The tests check the extremes against ``subordinate_of``.
     """
     lv = _coerce_view(L)
     p = lv.poset
     J = frozenset(colors)
     _diamond_modular(lv, "lattice")
-    # J-colored covers stay transitively reduced, and a component is closed
-    # under J-colored paths, so its induced covers are its edges
-    restricted = EdgeColoredPoset._from_ids(
-        p.vertices, [(a, b, c) for (a, b), c in p._edge_color.items() if c in J]
-    )
+    v, n = p.vertices, len(p)
+    ups = [[j for j, c in steps if c in J] for steps in p._up_steps]
+    downs = [[j for j, c in steps if c in J] for steps in p._down_steps]
+    rank = lv.rank_function.rank if verify else None
+    seen, depth = [False] * n, [None] * n
     infos = []
-    distributive_parent = is_distributive_fast(lv)
-    for labels in restricted.connected_components():
-        new = {p._index[x]: k for k, x in enumerate(labels)}  # parent ids to the component's
-        sub = EdgeColoredPoset._from_ids(labels, [(new[a], new[b], c) for a in new for b, c in restricted._up_steps[a]])
-        mins, maxs = sub.minimal_elements(), sub.maximal_elements()
-        if len(mins) != 1 or len(maxs) != 1:
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        ids = [start]
+        for i in ids:  # the list grows while it is read: a search queue
+            for j in ups[i] + downs[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    ids.append(j)
+        ids.sort()
+        lows, highs = [i for i in ids if not downs[i]], [i for i in ids if not ups[i]]
+        if len(lows) != 1 or len(highs) != 1:
             raise ValidationError("color-restricted component is not bounded")
-        infos.append(ComponentInfo(labels, sub, mins[0], maxs[0]))
-        if verify:
-            sv = as_lattice(sub)
-            check_sublattice(sv, lv)
-            if not sv.diamond.ok:
-                raise ValidationError("component is not diamond-colored")
-            if not is_modular(sv):
-                raise ValidationError("component is not modular")
-            if distributive_parent and not is_distributive_fast(sv):
-                raise ValidationError("component of a distributive lattice is not distributive")
-            # d(bottom, y) is r(y) - r(bottom) on both sides, so a y off the bottom's shift names a differing pair
-            inner, outer = sv.rank_function.rank, lv.rank_function.rank
-            if off := [y for y in labels if outer[y] - inner[y] != outer[mins[0]] - inner[mins[0]]]:
-                raise ValidationError(f"inner distance differs from parent distance at ({mins[0]!r}, {off[0]!r})")
+        info = ComponentInfo(tuple(v[i] for i in ids), partial(_component_poset, p, ids, J), v[lows[0]], v[highs[0]])
+        infos.append(info)
+        if not verify or len(ids) == 1:
+            continue
+        for side, near, bound in (("join", ups, lv._join_id), ("meet", downs, lv._meet_id)):
+            for i in ids:
+                for k, a in enumerate(near[i]):
+                    for b in near[i][k + 1 :]:
+                        if (z := bound(a, b)) not in near[a] or z not in near[b]:
+                            check_sublattice(as_lattice(info.poset), lv)  # names the first pair that differs
+                            raise ValidationError(f"{side} of {v[a]!r}, {v[b]!r} in the parent is {v[z]!r}, "
+                                                  "not one J-colored edge from each")
+        depth[lows[0]] = 0
+        for i in (order := [lows[0]]):
+            for j in ups[i]:
+                if depth[j] is None:
+                    depth[j] = depth[i] + 1
+                    order.append(j)
+        if off := [i for i in ids if rank[v[i]] - depth[i] != rank[info.minimum]]:
+            raise ValidationError(f"inner distance differs from parent distance at ({info.minimum!r}, {v[off[0]]!r})")
     return JComponentDecomposition(J, tuple(infos))
 
 

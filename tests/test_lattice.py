@@ -532,9 +532,8 @@ class TestDiamondVerdictOncePerView:
     def test_component_structure_scans_the_lattice_once(self, data_dir, diamond_scans):
         L = parse((data_dir / "fig1L.dcp").read_text())
         assert verify_component_structure(L).passed
-        # once for the lattice, once per component over the four color subsets
-        assert len(diamond_scans) == 27
-        assert sum(p is L for p in diamond_scans) == 1
+        # once for the lattice; no component is scanned on its own
+        assert len(diamond_scans) == 1 and diamond_scans[0] is L
 
 
 class TestVerdictsOncePerStructure:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import check_sublattice_by_pairs, j_components_by_pair_bfs
+from _oracles import assert_matches_constructor, check_sublattice_by_pairs, j_components_by_pair_bfs
 from corpus import (
     edge_chain,
     hexagon,
@@ -51,7 +51,7 @@ from dclat import (
     weak_subposet_from_sublattice,
 )
 from dclat import substructure
-from dclat.paths import RankFunction
+from dclat.paths import CheckResult, RankFunction
 from dclat.structures import EdgeColoredPoset
 
 
@@ -279,6 +279,46 @@ class TestComponents:
         assert j_components(il, [2]) == j_components(fig_view, [2])
         assert verify_component_structure(il) == verify_component_structure(fig_view)
 
+    def test_verified_split_builds_no_component_lattice(self, fig_view, monkeypatch):
+        """Every color subset is verified over the parent's ids; no component is built or validated."""
+        from dclat import lattice
+
+        built, validated = [], []
+        build = EdgeColoredPoset._from_ids
+
+        def counted_build(cls, *args):
+            built.append(args[0])
+            return build(*args)
+
+        def counted_as_lattice(p, original=lattice.as_lattice):
+            validated.append(p)
+            return original(p)
+
+        monkeypatch.setattr(EdgeColoredPoset, "_from_ids", classmethod(counted_build))
+        for module in (lattice, substructure):
+            monkeypatch.setattr(module, "as_lattice", counted_as_lattice)
+        assert verify_component_structure(fig_view).passed
+        assert built == [] and validated == []
+
+    def test_sibling_bound_off_the_component_with_a_wrong_verdict(self):
+        """The hexagon recorded as modular: it is its own component, but the join of the bottom's covers is no cover."""
+        L = hexagon()
+        L._verdicts["balanced"] = CheckResult(True, None)
+        with pytest.raises(ValidationError) as exc:
+            j_components(L, [1])
+        assert str(exc.value) == "join of 'a', 'b' in the parent is 'top', not one J-colored edge from each"
+
+    def test_planted_rank_in_another_component(self, fig_poset, fig_view):
+        """A rank planted off by one below a component's top names that component's minimum and the planted element."""
+        L = build_J(fig_poset).lattice
+        rank = L._verdicts["rank"]
+        comp = max(j_components(fig_view, [2]).components, key=lambda c: len(c.labels))
+        planted = comp.labels[-1]
+        L._verdicts["rank"] = RankFunction({**rank.rank, planted: rank.rank[planted] - 1}, rank.length)
+        with pytest.raises(ValidationError) as exc:
+            j_components(L, [2])
+        assert str(exc.value) == f"inner distance differs from parent distance at ({comp.minimum!r}, {planted!r})"
+
 
 class TestSubordinates:
     def test_no_colors_gives_anchor_itself(self, fig_poset):
@@ -473,3 +513,70 @@ class TestLocalChecksMatchTheirOracles:
         L = build_J(random_poset(n, p, seed)).lattice
         J = [c for i, c in enumerate((1, 2, 3)) if mask >> i & 1]
         assert _outcome(j_components, L, J) == _outcome(j_components_by_pair_bfs, L, J)
+
+    @pytest.mark.parametrize("name", ["fig1L.dcp", "m3.dcp", "m3xb3.dcp"])
+    def test_component_posets_on_the_fixtures(self, data_dir, name):
+        L = dcp.parse((data_dir / name).read_text())
+        for J in color_subsets(L.colors_used):
+            _assert_component_posets_are_induced(L, J)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 6), st.floats(0.1, 0.9), st.integers(0, 7))
+    def test_component_posets_under_hypothesis(self, seed, n, p, mask):
+        L = build_J(random_poset(n, p, seed)).lattice
+        _assert_component_posets_are_induced(L, [c for i, c in enumerate((1, 2, 3)) if mask >> i & 1])
+
+    @pytest.mark.parametrize("side", ["join", "meet"])
+    @pytest.mark.parametrize("name", ["fig1L.dcp", "m3xb3.dcp"])
+    def test_planted_sibling_bound(self, data_dir, name, side):
+        """A parent bound probe that is wrong at one pair of J-colored siblings fails as in the pairwise oracle."""
+        L = dcp.parse((data_dir / name).read_text())
+        palette = sorted(L.colors_used)
+        failed = 0
+        for J in color_subsets(palette):
+            steps = L._up_steps if side == "join" else L._down_steps
+            siblings = {(a, b) for near in steps for a, c in near for b, d in near if a < b and {c, d} <= set(J)}
+            for pair in sorted(siblings):
+                view = as_lattice(dcp.parse((data_dir / name).read_text()))
+                probe, far = (view._join_id, view.minimum) if side == "join" else (view._meet_id, view.maximum)
+                wrong = L.index_of(far)
+                setattr(view, f"_{side}_id", lambda i, k: wrong if {i, k} == set(pair) else probe(i, k))
+                got = _outcome(j_components, view, J)
+                assert got == _outcome(j_components_by_pair_bfs, view, J)
+                assert got[0] is NotASublattice and got[2] == (*(L.vertices[i] for i in pair), side)
+                failed += 1
+        assert failed > 0
+
+    def test_recolored_edge(self, data_dir):
+        """One edge of a fixture recolored.  A fresh copy fails the parent's diamond check on both sides.  A copy
+        that keeps the original's verdicts fails as the pairwise oracle does, except where only the oracle's
+        per-component diamond scan objects: the split leaves diamond coloring to the parent's recorded verdict."""
+        verdicts = Counter()
+        for name in ("fig1L.dcp", "m3.dcp", "m3xb3.dcp"):
+            L = dcp.parse((data_dir / name).read_text())
+            view = as_lattice(L)
+            assert view.diamond.ok and substructure.is_modular(view) and view.rank_function
+            palette = sorted(L.colors_used) + [max(L.colors_used) + 1]
+            for (a, b), c in L._edge_color.items():
+                for new in set(palette) - {c}:
+                    edges = [(L.vertices[x], L.vertices[y], new if (x, y) == (a, b) else k)
+                             for (x, y), k in L._edge_color.items()]
+                    fresh, stale = EdgeColoredPoset(L.vertices, edges), EdgeColoredPoset(L.vertices, edges)
+                    stale._verdicts.update(L._verdicts)
+                    for J in color_subsets(palette):
+                        assert _outcome(j_components, fresh, J) == _outcome(j_components_by_pair_bfs, fresh, J)
+                        got, want = _outcome(j_components, stale, J), _outcome(j_components_by_pair_bfs, stale, J)
+                        if got != want:
+                            assert isinstance(got, substructure.JComponentDecomposition)
+                            assert want[:2] == (ValidationError, "component is not diamond-colored")
+                        verdicts[got[0] if isinstance(got, tuple) else None] += 1
+        # some stale recolorings pass; the others fail the bounds test, or the sibling test with a named pair
+        assert set(verdicts) == {None, ValidationError, NotASublattice, substructure.NotALattice}
+
+
+def _assert_component_posets_are_induced(L, J):
+    """Each component's poset is the J-restricted order induced on its labels, and equals its validated rebuild."""
+    restricted = EdgeColoredPoset(L.vertices, [(a, b, c) for a, b, c in L.covers if c in J])
+    for comp in j_components(L, J).components:
+        assert comp.poset == restricted.induced(comp.labels)
+        assert_matches_constructor(comp.poset)

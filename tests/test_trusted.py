@@ -72,7 +72,8 @@ def derive_everything(P: VertexColoredPoset, Q: VertexColoredPoset) -> None:
     palette = sorted(JP.lattice.colors_used)
     for k in range(len(palette) + 1):
         for colors in combinations(palette, k):
-            j_components(JP, colors, verify=False)
+            for comp in j_components(JP, colors, verify=False).components:
+                comp.poset  # built on first read
 
 
 def check_trusted_builds(P: VertexColoredPoset, Q: VertexColoredPoset) -> None:
