@@ -254,26 +254,29 @@ def _cor7(L, _, __):
     return [_Text(("diamond-colored: representable; witness poset follows", dcp.emit(witness)[:-1]), True)]
 
 
-# theorem -> (kind of FILE, kind of --with or None where it is not read, suite);
-# a suite takes (FILE, --with or else FILE, args) and yields Reports
+# theorem -> (kind of FILE, kind of --with or None where it is not read, the
+# other options it reads, suite); a suite takes (FILE, --with or else FILE,
+# args) and yields Reports
 VERIFY = {
-    "ft": (None, None, lambda S, _, __: [
+    "ft": (None, None, (), lambda S, _, __: [
         birkhoff.verify_fundamental_poset(S) if isinstance(S, VertexColoredPoset)
         else birkhoff.verify_fundamental(S)
     ]),
-    "cor7": (EdgeColoredPoset, None, _cor7),
-    "cor8": (VertexColoredPoset, VertexColoredPoset, lambda P, Q, args: [birkhoff.verify_transform_identities(
-        P, Q, _parse_sigma(args.sigma) if args.sigma else {c: c for c in sorted(P.colors_used | Q.colors_used)}
-    )]),
-    "prop1": (EdgeColoredPoset, None, lambda L, _, args: [lattice.verify_distance_laws(L, args.seed)]),
-    "prop3": (EdgeColoredPoset, None, lambda L, _, __: paths.verify_path_colors_all(lattice.as_lattice(L))),
-    "prop10": (EdgeColoredPoset, EdgeColoredPoset, lambda L, K, _: [
+    "cor7": (EdgeColoredPoset, None, (), _cor7),
+    "cor8": (VertexColoredPoset, VertexColoredPoset, ("sigma",), lambda P, Q, args: [
+        birkhoff.verify_transform_identities(
+            P, Q, _parse_sigma(args.sigma) if args.sigma else {c: c for c in sorted(P.colors_used | Q.colors_used)}
+        )
+    ]),
+    "prop1": (EdgeColoredPoset, None, ("seed",), lambda L, _, args: [lattice.verify_distance_laws(L, args.seed)]),
+    "prop3": (EdgeColoredPoset, None, (), lambda L, _, __: paths.verify_path_colors_all(lattice.as_lattice(L))),
+    "prop10": (EdgeColoredPoset, EdgeColoredPoset, (), lambda L, K, _: [
         substructure.verify_product_closure([L, K], substructure.ProductView([L, K]).poset.vertices)
     ]),
-    "prop12": (EdgeColoredPoset, None, lambda L, _, __: [birkhoff.verify_interval_booleans(L)]),
-    "prop13": (EdgeColoredPoset, None, lambda L, _, __: [substructure.verify_component_structure(L)]),
-    "thm11": (VertexColoredPoset, VertexColoredPoset, lambda P, Q, _: substructure.verify_weakening(P, Q)),
-    "subord": (VertexColoredPoset, None, lambda P, _, __: (
+    "prop12": (EdgeColoredPoset, None, (), lambda L, _, __: [birkhoff.verify_interval_booleans(L)]),
+    "prop13": (EdgeColoredPoset, None, (), lambda L, _, __: [substructure.verify_component_structure(L)]),
+    "thm11": (VertexColoredPoset, VertexColoredPoset, (), lambda P, Q, _: substructure.verify_weakening(P, Q)),
+    "subord": (VertexColoredPoset, None, (), lambda P, _, __: (
         substructure.verify_subordinate_correspondence(P, J)
         for J in substructure.color_subsets(P.colors_used)
     )),
@@ -281,7 +284,10 @@ VERIFY = {
 
 
 def _cmd_verify(args) -> int:
-    kind, with_kind, suite = VERIFY[args.theorem]
+    kind, with_kind, options, suite = VERIFY[args.theorem]
+    reads = options + ("with",) * (with_kind is not None)
+    if unread := [o for o in ("with", "sigma", "seed") if o not in reads and getattr(args, o) is not None]:
+        raise ValidationError(f"--{unread[0]} is not read by --theorem {args.theorem}")
     first = _load(args.file, kind)
     second = _load(getattr(args, "with"), with_kind) if with_kind and getattr(args, "with") else first
     passed = True

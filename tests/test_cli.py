@@ -304,6 +304,33 @@ class TestVerifyFailurePaths:
         assert out == golden[: golden.index("PASS subordinate correspondence for colors [2]")]
 
 
+VERIFY_FILES = {"ft": "fig1P.dcp", "cor7": "fig1L.dcp", "cor8": "fig1P.dcp", "prop1": "fig1L.dcp",
+                "prop3": "fig1L.dcp", "prop10": "m3.dcp", "prop12": "fig1L.dcp", "prop13": "fig1L.dcp",
+                "thm11": "fig1P.dcp", "subord": "fig1P.dcp"}
+VERIFY_READS = {"cor8": ("with", "sigma"), "prop1": ("seed",), "prop10": ("with",), "thm11": ("with",)}
+
+
+class TestVerifyOptions:
+    """An option that a theorem does not read is a usage error; one that it reads runs the suite."""
+
+    @pytest.mark.parametrize("option", ["with", "sigma", "seed"])
+    @pytest.mark.parametrize("theorem", sorted(cli.VERIFY))
+    def test_each_theorem_and_option(self, capsys, data_dir, theorem, option):
+        value = {"with": str(data_dir / ("m3.dcp" if theorem == "prop10" else "fig5Q.dcp")),
+                 "sigma": "1=2,2=1", "seed": "3"}[option]
+        code, out, err = run(capsys, "verify", str(data_dir / VERIFY_FILES[theorem]), "--theorem", theorem,
+                             f"--{option}", value)
+        if option in VERIFY_READS.get(theorem, ()):
+            assert (code, err) == (0, ""), out
+        else:
+            assert (code, out, err) == (2, "", f"error: --{option} is not read by --theorem {theorem}\n")
+
+    def test_the_first_unread_option_is_named_before_any_file_is_read(self, capsys, data_dir):
+        code, out, err = run(capsys, "verify", str(data_dir / "missing.dcp"), "--theorem", "ft",
+                             "--seed", "1", "--with", str(data_dir / "fig5P1.dcp"))
+        assert (code, out, err) == (2, "", "error: --with is not read by --theorem ft\n")
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
