@@ -34,7 +34,7 @@ from .errors import (
 )
 from .isomorphism import find_isomorphism
 from .lattice import LatticeView, as_lattice, is_distributive_fast, is_modular
-from .paths import _bfs
+from .paths import CheckResult, RankFunction, _bfs
 from .report import Report
 from .structures import (
     EdgeColoredPoset,
@@ -390,13 +390,11 @@ class ComponentInfo:
             self._poset = self._poset()
         return self._poset
 
-    def _fields(self):
-        return self.labels, self.poset, self.minimum, self.maximum
-
     def __eq__(self, other):
-        return self._fields() == other._fields() if type(other) is ComponentInfo else NotImplemented
-
-    __hash__ = None
+        if type(other) is not ComponentInfo:
+            return NotImplemented
+        return (self.labels, self.poset, self.minimum, self.maximum) == (
+            other.labels, other.poset, other.minimum, other.maximum)
 
     def __repr__(self):
         return f"ComponentInfo({self.labels!r}, minimum={self.minimum!r}, maximum={self.maximum!r})"
@@ -412,10 +410,22 @@ class JComponentDecomposition:
 
 
 def _component_poset(p: EdgeColoredPoset, ids: list[int], J: frozenset[int]) -> EdgeColoredPoset:
-    """The component on p's sorted ``ids``; its J-colored edges are its covers."""
+    """The component on p's sorted ``ids``, whose covers are its J-colored edges."""
     new = dict(zip(ids, range(len(ids))))
     edges = [(new[a], new[b], c) for a in ids for b, c in p._up_steps[a] if c in J]
     return EdgeColoredPoset._from_ids([p.vertices[i] for i in ids], edges)
+
+
+def _proved_component(lv: LatticeView, ids: list[int], J: frozenset[int]) -> EdgeColoredPoset:
+    """The component's poset, carrying what the lemma of ``j_components`` proves: a diamond-colored
+    modular lattice, distributive when L is recorded to be, ranked by L's rank minus r(min)."""
+    sub, rank, holds = _component_poset(lv.poset, ids, J), lv.rank_function.rank, CheckResult(True, None)
+    low = min(rank[x] for x in sub.vertices)
+    shifted = {x: rank[x] - low for x in sub.vertices}
+    sub._verdicts.update(lattice=True, diamond=holds, balanced=holds, rank=RankFunction(shifted, max(shifted.values())))
+    if lv.poset._verdicts.get("distributive_fast"):
+        sub._verdicts.update(distributive=holds, distributive_fast=True)
+    return sub
 
 
 def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDecomposition:
@@ -424,7 +434,7 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
     One search over L's J-colored edges finds the components, in min-id
     order.  No component is built as a lattice: its extremes are its
     elements with no J-colored edge down, and up, and its ``poset`` is
-    built on first read.
+    built on first read, carrying the verdicts the lemma below proves.
 
     Lemma.  Let L be a diamond-colored modular lattice (``_diamond_modular``
     checks it) and C a component.  (1) If w is covered by a != b along
@@ -483,7 +493,7 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
         lows, highs = [i for i in ids if not downs[i]], [i for i in ids if not ups[i]]
         if len(lows) != 1 or len(highs) != 1:
             raise ValidationError("color-restricted component is not bounded")
-        info = ComponentInfo(tuple(v[i] for i in ids), partial(_component_poset, p, ids, J), v[lows[0]], v[highs[0]])
+        info = ComponentInfo(tuple(v[i] for i in ids), partial(_proved_component, lv, ids, J), v[lows[0]], v[highs[0]])
         infos.append(info)
         if not verify or len(ids) == 1:
             continue
@@ -492,7 +502,8 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
                 for k, a in enumerate(near[i]):
                     for b in near[i][k + 1 :]:
                         if (z := bound(a, b)) not in near[a] or z not in near[b]:
-                            check_sublattice(as_lattice(info.poset), lv)  # names the first pair that differs
+                            # the pairwise scan names the first pair whose bound differs
+                            check_sublattice(as_lattice(_component_poset(p, ids, J)), lv)
                             raise ValidationError(f"{side} of {v[a]!r}, {v[b]!r} in the parent is {v[z]!r}, "
                                                   "not one J-colored edge from each")
         depth[lows[0]] = 0

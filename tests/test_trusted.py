@@ -3,8 +3,9 @@
 Each one must equal what the validating constructor builds from the same
 labels and covers, malformed input the caller controls must still raise
 what it always raised, and the verdicts an ideal or filter lattice carries
-from birth must equal the scans they replace, while every derived
-structure starts with an empty verdict store.
+from birth must equal the scans they replace, as must those a component
+of ``j_components`` carries; every other derived structure starts with an
+empty verdict store.
 """
 
 from itertools import combinations
@@ -27,6 +28,7 @@ from dclat import (
     build_J,
     build_M,
     check_diamond_colored,
+    color_subsets,
     check_topographically_balanced,
     compute_rank,
     disjoint_sum,
@@ -177,21 +179,22 @@ class TestBornVerdicts:
             self.assert_store_equals_the_scans(il.lattice)
             assert is_modular(il.view) is True
 
-    def assert_store_equals_the_scans(self, L):
+    def assert_store_equals_the_scans(self, L, keys=BORN):
         born = dict(L._verdicts)
-        assert set(born) == self.BORN
+        assert set(born) == keys
         copy = EdgeColoredPoset(list(L.vertices), list(L.covers))
         assert copy._verdicts == {}
         fresh = as_lattice(copy)
         assert born["lattice"] is copy._verdicts["lattice"] is True
         assert born["diamond"] == check_diamond_colored(copy) == CheckResult(True, None)
         assert born["balanced"] == check_topographically_balanced(copy) == CheckResult(True, None)
-        assert born["distributive"] == is_distributive(fresh) == CheckResult(True, None)
-        assert born["distributive_fast"] is is_distributive_fast(fresh) is True
         assert born["rank"] == compute_rank(copy) == fresh.rank_function
         assert is_modular(fresh) is True
-        if len(L) <= 40:
-            assert distributivity_failure_by_triples(fresh) is None
+        if "distributive" in keys:
+            assert born["distributive"] == is_distributive(fresh) == CheckResult(True, None)
+            assert born["distributive_fast"] is is_distributive_fast(fresh) is True
+            if len(L) <= 40:
+                assert distributivity_failure_by_triples(fresh) is None
 
     def test_verdicts_equal_the_scans_on_a_fresh_view(self, data_dir):
         for P in self.posets(data_dir):
@@ -218,6 +221,18 @@ class TestBornVerdicts:
         assert len(carried) == 3 * (len(posets) - 1)
         for K in carried:
             self.assert_store_equals_the_scans(K)
+
+    def test_component_posets_carry_what_the_split_proves(self, data_dir):
+        """A component's poset carries the lattice, diamond, balance and rank verdicts, and distributivity
+        where the parent has it recorded, as the lemma of ``j_components`` proves them."""
+        parents = [build_J(P).view for P in self.posets(data_dir)[:12]]
+        parents += [as_lattice(parse((data_dir / name).read_text())) for name in ("m3.dcp", "m3xb3.dcp", "fig1L.dcp")]
+        for view in parents:
+            distributive = view.poset._verdicts.get("distributive_fast")
+            keys = self.BORN if distributive else self.BORN - {"distributive", "distributive_fast"}
+            for J in color_subsets(view.poset.colors_used):
+                for comp in j_components(view, J, verify=False).components:
+                    self.assert_store_equals_the_scans(comp.poset, keys)
 
     def test_extraction_from_built_lattices_scans_nothing(self, fig_poset, monkeypatch):
         from dclat import lattice, paths
