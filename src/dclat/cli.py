@@ -285,7 +285,7 @@ VERIFY = {
 
 def _cmd_verify(args) -> int:
     kind, with_kind, options, suite = VERIFY[args.theorem]
-    reads = options + ("with",) * (with_kind is not None)
+    reads = options + (("with",) if with_kind else ())
     if unread := [o for o in ("with", "sigma", "seed") if o not in reads and getattr(args, o) is not None]:
         raise ValidationError(f"--{unread[0]} is not read by --theorem {args.theorem}")
     first = _load(args.file, kind)

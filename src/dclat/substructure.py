@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .birkhoff import (
     IdealLattice,
@@ -381,7 +381,8 @@ class ComponentInfo:
     read.  Equality compares all four fields, as a dataclass's would.
     """
 
-    def __init__(self, labels: tuple[str, ...], poset, minimum: str, maximum: str):
+    def __init__(self, labels: tuple[str, ...], poset: EdgeColoredPoset | Callable[[], EdgeColoredPoset],
+                 minimum: str, maximum: str):
         self.labels, self._poset, self.minimum, self.maximum = labels, poset, minimum, maximum
 
     @property
@@ -419,9 +420,11 @@ def _component_poset(p: EdgeColoredPoset, ids: list[int], J: frozenset[int]) -> 
 def _proved_component(lv: LatticeView, ids: list[int], J: frozenset[int]) -> EdgeColoredPoset:
     """The component's poset, carrying what the lemma of ``j_components`` proves: a diamond-colored
     modular lattice, distributive when L is recorded to be, ranked by L's rank minus r(min)."""
-    sub, rank, holds = _component_poset(lv.poset, ids, J), lv.rank_function.rank, CheckResult(True, None)
+    sub = _component_poset(lv.poset, ids, J)
+    rank = lv.rank_function.rank
     low = min(rank[x] for x in sub.vertices)
     shifted = {x: rank[x] - low for x in sub.vertices}
+    holds = CheckResult(True, None)
     sub._verdicts.update(lattice=True, diamond=holds, balanced=holds, rank=RankFunction(shifted, max(shifted.values())))
     if lv.poset._verdicts.get("distributive_fast"):
         sub._verdicts.update(distributive=holds, distributive_fast=True)

@@ -532,9 +532,9 @@ class TestLocalChecksMatchTheirOracles:
         """A parent bound probe that is wrong at one pair of J-colored siblings fails as in the pairwise oracle."""
         L = dcp.parse((data_dir / name).read_text())
         palette = sorted(L.colors_used)
+        steps = L._up_steps if side == "join" else L._down_steps
         failed = 0
         for J in color_subsets(palette):
-            steps = L._up_steps if side == "join" else L._down_steps
             siblings = {(a, b) for near in steps for a, c in near for b, d in near if a < b and {c, d} <= set(J)}
             for pair in sorted(siblings):
                 view = as_lattice(dcp.parse((data_dir / name).read_text()))
@@ -548,13 +548,13 @@ class TestLocalChecksMatchTheirOracles:
         assert failed > 0
 
     def test_recolored_edge(self, data_dir):
-        """One edge of a fixture recolored.  A fresh copy fails the parent's diamond check on both sides.  A copy
-        that keeps the original's verdicts fails as the pairwise oracle does, except where only the oracle's
-        per-component diamond scan objects: the split leaves diamond coloring to the parent's recorded verdict."""
+        """One edge of a fixture recolored.  A fresh copy gives the pairwise oracle's outcome, the parent's diamond
+        check where a diamond breaks.  So does a copy that keeps the original's verdicts, except where only the
+        oracle's per-component diamond scan objects: the split leaves diamond coloring to the parent's verdict."""
         verdicts = Counter()
         for name in ("fig1L.dcp", "m3.dcp", "m3xb3.dcp"):
             L = dcp.parse((data_dir / name).read_text())
-            view = as_lattice(L)
+            view = as_lattice(L)  # records the verdicts that the stale copies take
             assert view.diamond.ok and substructure.is_modular(view) and view.rank_function
             palette = sorted(L.colors_used) + [max(L.colors_used) + 1]
             for (a, b), c in L._edge_color.items():

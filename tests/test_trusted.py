@@ -28,8 +28,8 @@ from dclat import (
     build_J,
     build_M,
     check_diamond_colored,
-    color_subsets,
     check_topographically_balanced,
+    color_subsets,
     compute_rank,
     disjoint_sum,
     dual,
