@@ -26,16 +26,14 @@ from dclat import (
     build_J,
     color_subsets,
     isomorphic,
-    sublattice_from_weak_subposet,
     verify_component_structure,
     verify_distance_laws,
-    verify_full_length_agreement,
     verify_fundamental,
     verify_fundamental_poset,
     verify_path_colors_all,
     verify_subordinate_correspondence,
     verify_transform_identities,
-    weak_subposet_from_sublattice,
+    verify_weakening,
 )
 
 
@@ -111,11 +109,10 @@ def main() -> int:
     def weakenings():
         pairs = weak_subposet_pairs(n, seed=seed + 5)
         for P, Q in pairs:
-            emb = sublattice_from_weak_subposet(P, Q)
-            if not verify_full_length_agreement(emb.embedding).passed:
+            agreement, recovery = verify_weakening(P, Q)
+            if not agreement.passed:
                 return False, "rank/cover disagreement"
-            rec = weak_subposet_from_sublattice(emb.embedding.parent_view, emb.embedding.sub_view)
-            if not (rec.report.passed and isomorphic(rec.recovered, Q)):
+            if not (recovery.passed and isomorphic(recovery.details["recovered"], Q)):
                 return False, "recovery failure"
         return True, f"{len(pairs)} weakening pairs"
 

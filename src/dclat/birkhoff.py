@@ -11,6 +11,7 @@ dual, recoloring, disjoint sum, and product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -22,19 +23,21 @@ from .errors import (
     UnknownVertex,
     ValidationError,
 )
-from .isomorphism import _map_holds, find_isomorphism
+from .isomorphism import _map_holds, _verify_witness
 from .lattice import LatticeView, as_lattice, is_boolean, is_distributive_fast
 from .paths import CheckResult, RankFunction
 from .report import Report
 from .structures import (
     Color,
     EdgeColoredPoset,
+    ProductView,
     VertexColoredPoset,
     cartesian_product,
     disjoint_sum,
     dual,
     recolor,
     _bits,
+    _star,
 )
 
 # Memory roughly triples per doubling: build_J on an antichain peaks at 121 MB
@@ -345,18 +348,21 @@ def verify_fundamental(L) -> Report:
 
 
 def verify_fundamental_poset(P: VertexColoredPoset) -> Report:
-    """Both poset-side roundtrips, plus the principal-ideal and profile checks."""
+    """Both poset-side roundtrips, plus the principal-ideal and profile checks.
+
+    The roundtrips check Birkhoff's maps, the witnesses in ``details``: v goes
+    to its principal ideal in J(P) and to its principal filter in M(P).
+    """
     report = Report("poset roundtrips through subset lattices")
     jl = build_J(P)
-    wit_j = find_isomorphism(P, extract_j(jl).poset)
+    to_j = {v: jl.label_for(principal_ideal(P, v)) for v in P.vertices}
+    wit_j = to_j if _verify_witness(P, extract_j(jl).poset, to_j) else None
     report.record("poset recovered from its ideal lattice", wit_j is not None)
     ml = build_M(P)
-    wit_m = find_isomorphism(P, extract_m(ml).poset)
+    to_m = {v: ml.label_for(P.up_set(v)) for v in P.vertices}
+    wit_m = to_m if _verify_witness(P, extract_m(ml).poset, to_m) else None
     report.record("poset recovered from its filter lattice", wit_m is not None)
-    # join irreducibles of the ideal lattice are exactly the principal ideals
-    principal = {frozenset(principal_ideal(P, v)) for v in P.vertices}
-    irreducible = {jl.members(x) for x in jl.view.join_irreducibles()}
-    report.record("join irreducibles are the principal ideals", principal == irreducible)
+    report.record("join irreducibles are the principal ideals", set(to_j.values()) == set(jl.view.join_irreducibles()))
     profile_ok = True
     try:
         for il in (jl, ml):
@@ -395,16 +401,15 @@ def verify_transform_identities(
     Covers the six poset-side identities (ideal and filter lattices of the
     dual, the recoloring, and the disjoint sum) and the six lattice-side
     identities (irreducibles of the dual, the recoloring, and the product).
-    Each poset-side identity is checked through the map that proves it: an
-    ideal I of P* (a filter of P) goes to P minus I, which is an ideal of P,
-    and the filter case is the same; a recoloring keeps every element; an
-    ideal of P+Q goes to (its part in P, its part in Q).  The irreducible
-    posets are small and are compared by search.
+    Each identity is checked through the map that proves it: an ideal I of
+    P* (a filter of P) goes to P minus I, which is an ideal of P, and the
+    filter case is the same; a recoloring keeps every element; an ideal of
+    P+Q goes to (its part in P, its part in Q).  In J(P), v has the join
+    irreducible jv = down(v) and the meet irreducible mv = P minus up(v):
+    the dual's mv* goes to jv* and its jv* to mv*, and the product's (jv,
+    bottom) and (bottom, jw) go to L.jv and R.jw, and meets alike with top.
     """
     report = Report("transform identities for the subset-lattice constructions")
-
-    def iso(a, b) -> bool:
-        return find_isomorphism(a, b) is not None
 
     def holds(label: str, built: IdealLattice, K: EdgeColoredPoset, to_K) -> list[int] | None:
         """Record whether ``to_K(built)``, K's id for each element of ``built``, is an isomorphism; return it if so."""
@@ -454,20 +459,34 @@ def verify_transform_identities(
     holds("filters of a disjoint sum = product of the filters",
           build_M(PQ), cartesian_product(MP.lattice, (MQ := build_M(Q)).lattice), parts(MP, MQ))
 
+    def irreducibles(il: IdealLattice) -> tuple[list[str], list[str], str, str]:
+        """The labels in ``il``, an ideal lattice, of jv and of mv per source vertex v, then of its bottom and top."""
+        X = il.source
+        j = [il.label_for(X.down_set(v)) for v in X.vertices]
+        m = [il.label_for(set(X.vertices) - X.up_set(v)) for v in X.vertices]
+        return j, m, il.label_for(()), il.label_for(X.vertices)
+
+    def maps(label: str, a: VertexColoredPoset, b: VertexColoredPoset, pairs) -> None:
+        report.record(label, _verify_witness(a, b, dict(pairs)))
+
+    (jv, mv, bottom, top), (jw, mw, q_bottom, q_top) = irreducibles(JP), irreducibles(JQ)
+    label_of = ProductView.label_of
     jL, jK = extract_j(JP).poset, extract_j(JQ).poset
     mL, mK = extract_m(JP).poset, extract_m(JQ).poset
-    report.record("join irreducibles of the dual = dual of the join irreducibles",
-                  iso(j_dual, dual(jL)))
-    report.record("join irreducibles of a recoloring = recoloring of join irreducibles",
-                  iso(j_recolor, recolor(jL, sigma)))
-    report.record("join irreducibles of a product = disjoint sum of join irreducibles",
-                  iso(j_product, disjoint_sum(jL, jK)))
-    report.record("meet irreducibles of the dual = dual of meet irreducibles",
-                  iso(m_dual, dual(mL)))
-    report.record("meet irreducibles of a recoloring = recoloring of meet irreducibles",
-                  iso(m_recolor, recolor(mL, sigma)))
-    report.record("meet irreducibles of a product = disjoint sum of meet irreducibles",
-                  iso(m_product, disjoint_sum(mL, mK)))
+    maps("join irreducibles of the dual = dual of the join irreducibles",
+         j_dual, dual(jL), ((_star(m), _star(j)) for j, m in zip(jv, mv)))
+    maps("join irreducibles of a recoloring = recoloring of join irreducibles",
+         j_recolor, recolor(jL, sigma), ((j, j) for j in jv))
+    maps("join irreducibles of a product = disjoint sum of join irreducibles",
+         j_product, disjoint_sum(jL, jK),
+         [(label_of((j, q_bottom)), "L." + j) for j in jv] + [(label_of((bottom, j)), "R." + j) for j in jw])
+    maps("meet irreducibles of the dual = dual of meet irreducibles",
+         m_dual, dual(mL), ((_star(j), _star(m)) for j, m in zip(jv, mv)))
+    maps("meet irreducibles of a recoloring = recoloring of meet irreducibles",
+         m_recolor, recolor(mL, sigma), ((m, m) for m in mv))
+    maps("meet irreducibles of a product = disjoint sum of meet irreducibles",
+         m_product, disjoint_sum(mL, mK),
+         [(label_of((m, q_top)), "L." + m) for m in mv] + [(label_of((top, m)), "R." + m) for m in mw])
     return report
 
 
@@ -500,16 +519,16 @@ def _interval_boolean(L, t: str, S: Sequence[str], side: str) -> IntervalBoolean
         raise InvalidDescendantSet(f"{bad} are not {side}s of {t!r}")
     colors = {s: p.edge_color(s, t) if below else p.edge_color(t, s) for s in S}
     antichain = VertexColoredPoset(sorted(S, key=p.index_of), [], colors)
-    if below:
-        bound = view.meet_all(S)
-        inner, subset_lattice = view.interval(bound, t), build_M(antichain)
-    else:
-        bound = view.join_all(S)
-        inner, subset_lattice = view.interval(t, bound), build_J(antichain)
-    matches = find_isomorphism(inner, subset_lattice.lattice) is not None
+    # a set T of S goes to t met (joined) with T; the bound is the image of S
+    op = view.meet if below else view.join
+    bound = reduce(op, S, t)
+    inner = view.interval(bound, t) if below else view.interval(t, bound)
+    subsets = build_M(antichain) if below else build_J(antichain)
+    to_inner = [inner._index.get(reduce(op, subsets.members(x), t), -1) for x in subsets.lattice.vertices]
+    matches = _map_holds(subsets.lattice, inner, to_inner)
     contains = set(S) <= set(inner.vertices)
-    boolean = is_boolean(as_lattice(inner))
-    return IntervalBooleanResult(bound, contains, matches, boolean)
+    # a map from the subset lattice of an antichain proves the interval Boolean
+    return IntervalBooleanResult(bound, contains, matches, matches or is_boolean(as_lattice(inner)))
 
 
 def descendant_interval_boolean(L, t: str, D: Sequence[str]) -> IntervalBooleanResult:

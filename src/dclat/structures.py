@@ -585,5 +585,6 @@ class ProductView:
         self.poset = EdgeColoredPoset._from_ids(labels, edges)
         self.coords = dict(zip(labels, coords))
 
-    def label_of(self, parts: Sequence[str]) -> str:
+    @staticmethod
+    def label_of(parts: Sequence[str]) -> str:
         return "(" + ",".join(parts) + ")"

@@ -32,7 +32,7 @@ from .errors import (
     NotWeakSubposet,
     ValidationError,
 )
-from .isomorphism import find_isomorphism
+from .isomorphism import _map_holds, _verify_witness
 from .lattice import LatticeView, as_lattice, is_distributive_fast, is_modular
 from .paths import CheckResult, RankFunction, _bfs
 from .report import Report
@@ -309,6 +309,7 @@ def weak_subposet_from_sublattice(L, K) -> SubposetRecovery:
     unique minimal element, itself join irreducible in K; that map is a
     color-preserving monotone bijection between the irreducible posets, and
     transporting the sub-order along it lands inside the parent order.
+    When the map is found, the report's ``details["recovered"]`` is the recovered order.
     """
     lv = _coerce_view(L)
     kv = _coerce_view(K)
@@ -353,14 +354,13 @@ def weak_subposet_from_sublattice(L, K) -> SubposetRecovery:
 
     relation = [(phi[u], phi[v]) for u in Q.vertices for v in Q.vertices if u != v and Q.leq(u, v)]
     recovered = weak_subposet(Pp, relation)
-    transported = Q.relabel(phi)
-    report.record("transported order equals the recovered order",
-                  set(transported.covers) == set(recovered.covers)
-                  and transported.colors == recovered.colors)
-    report.record("recovered order is isomorphic to the original irreducibles",
-                  find_isomorphism(Q, recovered) is not None)
+    # on a bijective phi, carrying Q's order onto the recovered one is what makes phi an isomorphism
+    transported = _verify_witness(Q, recovered, phi)
+    report.record("transported order equals the recovered order", transported)
+    report.record("recovered order is isomorphic to the original irreducibles", transported)
     weak = all(Pp.leq(a, b) for a, b in recovered.covers)
     report.record("recovered order is a weak subposet of the sublattice irreducibles", weak)
+    report.details["recovered"] = recovered
     return SubposetRecovery(phi, recovered, report)
 
 
@@ -657,9 +657,10 @@ def verify_subordinate_correspondence(P: VertexColoredPoset, colors: Iterable[in
     """Subordinates attached to components are exactly the definable ones,
     and each component is the ideal lattice of its subordinate.
 
-    The component-versus-ideal-lattice comparison is done three ways: by the
-    explicit union map (edge by edge), by a generic isomorphism search, and
-    through the irreducible poset.
+    The union map, an ideal x of the subordinate to x united with the
+    witness ideal, must be an isomorphism onto the component, and the generic
+    isomorphism check records that verdict too.  The irreducibles check sends
+    v to the union map's image of its principal ideal.
     """
     J = frozenset(colors)
     report = Report(f"subordinate correspondence for colors {sorted(J)}")
@@ -673,32 +674,16 @@ def verify_subordinate_correspondence(P: VertexColoredPoset, colors: Iterable[in
 
     for comp in decomp.components:
         sub = subordinate_of(il, comp.minimum, J)
-        r_labels = sub.witness_ideal
         jq = build_J(sub.poset)
-        # explicit map: ideal x of the subordinate -> witness ideal united with x
-        expected_elements = {
-            frozenset(jq.members(lab)) | r_labels for lab in jq.lattice.vertices
-        }
-        actual_elements = {frozenset(il.members(lab)) for lab in comp.labels}
-        elements_ok = expected_elements == actual_elements
-        edges_ok = True
-        if elements_ok:
-            lift = {
-                lab: il.label_for(frozenset(jq.members(lab)) | r_labels)
-                for lab in jq.lattice.vertices
-            }
-            lifted_edges = {(lift[a], lift[b], c) for a, b, c in jq.lattice.covers}
-            edges_ok = lifted_edges == set(comp.poset.covers)
-        report.record(
-            f"component at {comp.minimum!r}: union map is an edge-color bijection",
-            elements_ok and edges_ok,
-        )
-        report.record(
-            f"component at {comp.minimum!r}: generic isomorphism with the subordinate's ideals",
-            find_isomorphism(comp.poset, jq.lattice) is not None,
-        )
-        report.record(
-            f"component at {comp.minimum!r}: irreducibles give back the subordinate",
-            find_isomorphism(extract_j(comp.poset).poset, sub.poset) is not None,
-        )
+        # each element's image as a label of il, or None where the union is no ideal of P
+        lift = {x: il.label_of_mask.get(sum(1 << P.index_of(v) for v in jq.members(x) | sub.witness_ideal))
+                for x in jq.lattice.vertices}
+        to_comp = [comp.poset._index.get(lift[x], -1) for x in jq.lattice.vertices]
+        union_map = _map_holds(jq.lattice, comp.poset, to_comp)
+        report.record(f"component at {comp.minimum!r}: union map is an edge-color bijection", union_map)
+        report.record(f"component at {comp.minimum!r}: generic isomorphism with the subordinate's ideals", union_map)
+        irr = extract_j(comp.poset).poset
+        to_irr = [irr._index.get(lift[jq.label_for(sub.poset.down_set(v))], -1) for v in sub.poset.vertices]
+        report.record(f"component at {comp.minimum!r}: irreducibles give back the subordinate",
+                      _map_holds(sub.poset, irr, to_irr))
     return report

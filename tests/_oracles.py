@@ -14,9 +14,11 @@ that the closure-pruned one replaced, and the label-level rank BFS.
 Last, the checks of the trusted paths: every structure the library
 builds through ``_from_ids`` is rebuilt through the validating public
 constructor and must come out with the same tables.  The search-based
-bodies of ``verify_fundamental`` and ``verify_transform_identities`` and
-the per-mask label join are the references for the map checks and the
-memoised labels the library uses.  ``check_sublattice`` and
+bodies of ``verify_fundamental``, ``verify_fundamental_poset``,
+``verify_transform_identities``, the interval check of Proposition 12,
+``weak_subposet_from_sublattice`` and ``verify_subordinate_correspondence``
+are the references for the map checks the library makes; the per-mask
+label join is the reference for its memoised labels.  ``check_sublattice`` and
 ``j_components`` prove their facts locally; their references compare
 every pair's join and meet, and every pair's distances by a search per
 pair.
@@ -43,6 +45,7 @@ from dclat import (
     is_modular,
 )
 from dclat import birkhoff, substructure
+from dclat.isomorphism import find_isomorphism
 from dclat.lattice import DistributivityWitness
 from dclat.paths import CheckResult, DiamondWitness, RankFunction
 from dclat.report import Report
@@ -485,10 +488,11 @@ def subset_label_by_join(P, mask):
     return ".".join(P.vertices[i] for i in _bits(mask))
 
 
-# The two suites below are the library's bodies from before it checked the
+# The suites below are the library's bodies from before it checked the
 # theorems' maps: every identity is a search for some isomorphism.  They call
-# the constructions through ``birkhoff``'s module attributes, so a test that
-# patches one there changes what both the library and its oracle see.
+# the constructions through ``birkhoff``'s (or ``substructure``'s) module
+# attributes, so a test that patches one there changes what both the library
+# and its oracle see.
 
 
 def verify_fundamental_by_search(L):
@@ -499,10 +503,36 @@ def verify_fundamental_by_search(L):
     mp = birkhoff.extract_m(view)
     report.record("join and meet irreducible counts equal the length",
                   len(jp.poset) == view.length == len(mp.poset))
-    wit_j = birkhoff.find_isomorphism(view.poset, birkhoff.build_J(jp.poset).lattice)
+    wit_j = find_isomorphism(view.poset, birkhoff.build_J(jp.poset).lattice)
     report.record("lattice rebuilt from join irreducibles", wit_j is not None)
-    wit_m = birkhoff.find_isomorphism(view.poset, birkhoff.build_M(mp.poset).lattice)
+    wit_m = find_isomorphism(view.poset, birkhoff.build_M(mp.poset).lattice)
     report.record("lattice rebuilt from meet irreducibles", wit_m is not None)
+    report.details["join_witness"] = wit_j
+    report.details["meet_witness"] = wit_m
+    return report
+
+
+def verify_fundamental_poset_by_search(P):
+    """Search-based poset roundtrips through the subset lattices."""
+    b = birkhoff
+    report = Report("poset roundtrips through subset lattices")
+    jl = b.build_J(P)
+    wit_j = find_isomorphism(P, b.extract_j(jl).poset)
+    report.record("poset recovered from its ideal lattice", wit_j is not None)
+    ml = b.build_M(P)
+    wit_m = find_isomorphism(P, b.extract_m(ml).poset)
+    report.record("poset recovered from its filter lattice", wit_m is not None)
+    principal = {frozenset(b.principal_ideal(P, v)) for v in P.vertices}
+    irreducible = {jl.members(x) for x in jl.view.join_irreducibles()}
+    report.record("join irreducibles are the principal ideals", principal == irreducible)
+    profile_ok = True
+    try:
+        for il in (jl, ml):
+            for lab in il.lattice.vertices:
+                b.cover_color_profile(il, lab)
+    except ValidationError:
+        profile_ok = False
+    report.record("cover color profiles match incident edges", profile_ok)
     report.details["join_witness"] = wit_j
     report.details["meet_witness"] = wit_m
     return report
@@ -514,7 +544,7 @@ def verify_transform_identities_by_search(P, Q, sigma):
     report = Report("transform identities for the subset-lattice constructions")
 
     def iso(x, y):
-        return b.find_isomorphism(x, y) is not None
+        return find_isomorphism(x, y) is not None
 
     def irreducibles_after(label, ideals, K):
         report.record(label, iso(ideals, K))
@@ -616,3 +646,105 @@ def j_components_by_pair_bfs(L, colors):
                 if distance_by_pair_bfs(sub, x, y) != distance_by_pair_bfs(p, x, y):
                     raise ValidationError(f"inner distance differs from parent distance at ({x!r}, {y!r})")
     return substructure.JComponentDecomposition(J, tuple(infos))
+
+
+def interval_boolean_by_search(L, t, S, side):
+    """``_interval_boolean`` with the interval searched against the subset lattice, and always scanned."""
+    b = birkhoff
+    view = b._coerce_view(L)
+    b._require_dcdl(view)
+    p = view.poset
+    S = list(dict.fromkeys(S))
+    below = side == "descendant"
+    colors = {s: p.edge_color(s, t) if below else p.edge_color(t, s) for s in S}
+    antichain = VertexColoredPoset(sorted(S, key=p.index_of), [], colors)
+    if below:
+        bound = view.meet_all(S)
+        inner, subset_lattice = view.interval(bound, t), b.build_M(antichain)
+    else:
+        bound = view.join_all(S)
+        inner, subset_lattice = view.interval(t, bound), b.build_J(antichain)
+    matches = find_isomorphism(inner, subset_lattice.lattice) is not None
+    contains = set(S) <= set(inner.vertices)
+    return b.IntervalBooleanResult(bound, contains, matches, b.is_boolean(as_lattice(inner)))
+
+
+def weak_subposet_from_sublattice_by_search(L, K):
+    """Search-based recovery of a weak subposet from a full-length sublattice."""
+    s = substructure
+    lv, kv = birkhoff._coerce_view(L), birkhoff._coerce_view(K)
+    emb = s.check_sublattice(kv, lv)
+    if not emb.full_length:
+        raise ValidationError("sublattice is not full-length")
+    if not emb.edge_colored:
+        raise ValidationError("sublattice is not edge-colored")
+    Q, Pp = s.extract_j(lv).poset, s.extract_j(kv).poset
+    report = Report("weak subposet recovered from a full-length sublattice")
+    phi = {}
+    ok_unique = ok_irr = True
+    for x in Q.vertices:
+        above = [y for y in kv.poset.vertices if lv.leq(x, y)]
+        minimal = [y for y in above if not any(z != y and lv.leq(z, y) for z in above)]
+        if len(minimal) != 1:
+            ok_unique = False
+            break
+        if minimal[0] not in Pp._index:
+            ok_irr = False
+            break
+        phi[x] = minimal[0]
+    report.record("each filter of sublattice elements has a unique minimum", ok_unique)
+    report.record("those minima are join irreducible in the sublattice", ok_unique and ok_irr)
+    if not (ok_unique and ok_irr):
+        return s.SubposetRecovery(phi, Pp, report)
+    report.record("the map is a bijection onto the sublattice irreducibles", sorted(phi.values()) == sorted(Pp.vertices))
+    report.record("the map preserves vertex colors", all(Q.colors[x] == Pp.colors[w] for x, w in phi.items()))
+    report.record("the map is monotone into the recovered order",
+                  all(Pp.leq(phi[u], phi[v]) for u in Q.vertices for v in Q.vertices if Q.leq(u, v)))
+    relation = [(phi[u], phi[v]) for u in Q.vertices for v in Q.vertices if u != v and Q.leq(u, v)]
+    recovered = s.weak_subposet(Pp, relation)
+    transported = Q.relabel(phi)
+    report.record("transported order equals the recovered order",
+                  set(transported.covers) == set(recovered.covers) and transported.colors == recovered.colors)
+    report.record("recovered order is isomorphic to the original irreducibles",
+                  find_isomorphism(Q, recovered) is not None)
+    report.record("recovered order is a weak subposet of the sublattice irreducibles",
+                  all(Pp.leq(a, b) for a, b in recovered.covers))
+    return s.SubposetRecovery(phi, recovered, report)
+
+
+def verify_weakening_by_search(P, Q):
+    """``verify_weakening`` with the recovery checked by ``weak_subposet_from_sublattice_by_search``."""
+    emb = substructure.sublattice_from_weak_subposet(P, Q).embedding
+    agreement = substructure.verify_full_length_agreement(emb)
+    recovery = weak_subposet_from_sublattice_by_search(emb.parent_view, emb.sub_view)
+    recovery.report.details["recovered"] = recovery.recovered
+    return [agreement, recovery.report]
+
+
+def verify_subordinate_correspondence_by_search(P, colors):
+    """Search-based subordinate correspondence: each component compared three ways."""
+    s = substructure
+    J = frozenset(colors)
+    report = Report(f"subordinate correspondence for colors {sorted(J)}")
+    from_definition = s.subordinates_by_definition(P, J)
+    il = s.build_J(P)
+    decomp = s.j_components(il, J, verify=True)
+    from_components = {s.subordinate_of(il, lab, J).vertex_set for lab in il.lattice.vertices}
+    report.record("component subordinates match the definition search", from_components == from_definition)
+    for comp in decomp.components:
+        sub = s.subordinate_of(il, comp.minimum, J)
+        r_labels = sub.witness_ideal
+        jq = s.build_J(sub.poset)
+        expected_elements = {frozenset(jq.members(lab)) | r_labels for lab in jq.lattice.vertices}
+        actual_elements = {frozenset(il.members(lab)) for lab in comp.labels}
+        elements_ok = expected_elements == actual_elements
+        edges_ok = True
+        if elements_ok:
+            lift = {lab: il.label_for(frozenset(jq.members(lab)) | r_labels) for lab in jq.lattice.vertices}
+            edges_ok = {(lift[a], lift[b], c) for a, b, c in jq.lattice.covers} == set(comp.poset.covers)
+        report.record(f"component at {comp.minimum!r}: union map is an edge-color bijection", elements_ok and edges_ok)
+        report.record(f"component at {comp.minimum!r}: generic isomorphism with the subordinate's ideals",
+                      find_isomorphism(comp.poset, jq.lattice) is not None)
+        report.record(f"component at {comp.minimum!r}: irreducibles give back the subordinate",
+                      find_isomorphism(s.extract_j(comp.poset).poset, sub.poset) is not None)
+    return report

@@ -45,6 +45,8 @@ def test_witness_check_rejects_a_color_changing_bijection(kind, fig_poset, fig_l
     # the identity preserves every cover but maps onto the other colors
     assert not _verify_witness(p, recolor(p, {1: 2, 2: 1}), identity)
     assert not _verify_witness(p, dual(dual(p)), dict(zip(p.vertices, reversed(p.vertices))))
+    # a witness must name exactly p's vertices
+    assert not _verify_witness(p, p, identity | {"not-a-vertex": p.vertices[0]})
 
 
 def test_color_mismatch_chains():

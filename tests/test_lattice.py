@@ -177,6 +177,12 @@ class TestBounds:
         assert fig_view.join_all([]) == fig_view.minimum
         assert fig_view.meet_all([]) == fig_view.maximum
 
+    def test_bounds_of_every_element_are_the_extremes(self, fig_view):
+        corpus = random_lattices(30, seed=73) + random_modular_lattices(10, 40, seed=73) + [m3(), n5(), hexagon()]
+        for view in [fig_view] + [as_lattice(L) for L in corpus]:
+            assert view.join_all(view.poset.vertices) == view.maximum
+            assert view.meet_all(view.poset.vertices) == view.minimum
+
     def test_ideal_join_is_union(self, fig_poset):
         il = build_J(fig_poset)
         view = as_lattice(il.lattice)
