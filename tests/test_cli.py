@@ -412,6 +412,8 @@ class TestGoldenOutput:
             (["parse", "fig1L.dcp"], "parse-fig1L.out", 0),
             (["render", "fig1P.dcp", "--format", "dot"], "render-dot-fig1P.out", 0),
             (["render", "fig1L.dcp", "--format", "dot"], "render-dot-fig1L.out", 0),
+            (["render", "n5.dcp", "--format", "dot"], "render-dot-n5.out", 0),
+            (["render", "fig5Q.dcp", "--format", "dot"], "render-dot-fig5Q.out", 0),
             (["transform", "fig1P.dcp", "--op", "dual"], "transform-dual-fig1P.out", 0),
             (["transform", "fig1L.dcp", "--op", "dual"], "transform-dual-fig1L.out", 0),
             (["transform", "fig1P.dcp", "--op", "recolor:1=3,2=4"], "transform-recolor-fig1P.out", 0),
