@@ -37,12 +37,16 @@ from .structures import (
     dual,
     recolor,
     _bits,
+    _reduced_ids,
     _star,
 )
 
-# Memory roughly triples per doubling: build_J on an antichain peaks at 121 MB
-# at 2^14 elements, 334 MB at 2^15 and 1073 MB at 2^16 (process peak RSS,
-# one process building the three in turn).
+# Memory roughly doubles per doubling: build_J on an antichain peaks at 48 MB
+# at 2^14 elements, 88 MB at 2^15 and 165 MB at 2^16, and the round trip
+# through extract_j, build_M and extract_m at 72, 134 and 261 MB (process peak
+# RSS, one process taking the three sizes in turn).  A query that reads the
+# reachability bitsets adds two n-bit masks per element, n^2/4 bytes: 1 GiB
+# at 2^16.
 ELEMENT_CAP = 1 << 16
 
 
@@ -246,19 +250,52 @@ def _coerce_view(L) -> LatticeView:
 
 
 def _extract(L, side: str) -> IrreduciblePoset:
-    """Irreducibles of one side ("join" or "meet"), colored by their single cover edge."""
+    """Irreducibles of one side ("join" or "meet"), colored by their single cover edge.
+
+    Join side: walk up a linear extension of L and give each element x
+    the mask phi(x) of the join irreducibles at or below it.  y <= x holds
+    iff y = x or y lies at or below a lower cover of x, and the walk has
+    visited every lower cover of x before x; so phi(x) is the union of
+    phi over x's lower covers, plus x's own bit when x is irreducible.  A
+    join irreducible j has a single lower cover j_*, and the irreducibles
+    strictly below j are exactly phi(j_*).  The irreducible poset's
+    covers are the transitive reduction of that strict order, and j's
+    color is the color of the edge j_* -> j.  The meet side is the same
+    walk down, through upper covers.  Of L's tables only the topological
+    order, the adjacency and the edge colors are read.
+    """
     view = _coerce_view(L)
     _require_dcdl(view)
     p = view.poset
-    irr = view.join_irreducibles() if side == "join" else view.meet_irreducibles()
+    join = side == "join"
+    irr = view.join_irreducibles() if join else view.meet_irreducibles()
     if len(irr) != view.length:
         raise NotDistributive(
             f"{len(irr)} {side} irreducibles for length {view.length}; lattice cannot be distributive"
         )
-    steps = p.down_steps if side == "join" else p.up_steps
-    colors = {x: steps(x)[0][1] for x in irr}
-    covers = p.induced_cover_pairs(irr)
-    return IrreduciblePoset(VertexColoredPoset(irr, covers, colors), side)
+    near, walk = (p._down_adj, p._at) if join else (p._up_adj, reversed(p._at))
+    ids = [p._index[x] for x in irr]
+    k_of = dict(zip(ids, range(len(ids))))
+    phi = [0] * len(p)
+    strict = [0] * len(ids)  # per irreducible, the irreducibles strictly below it (above, meet side)
+    order = []  # the irreducibles in walk order
+    for i in walk:
+        k = k_of.get(i)
+        if k is None:
+            m = 0
+            for j in near[i]:
+                m |= phi[j]
+            phi[i] = m
+        else:
+            strict[k] = phi[near[i][0]]
+            phi[i] = strict[k] | 1 << k
+            order.append(k)
+    # a relation from each irreducible to those before it in the walk, so the
+    # reversed walk is a linear extension of it
+    cover_mask = _reduced_ids([list(_bits(m)) for m in strict], order[::-1])
+    pairs = [(j, k) if join else (k, j) for k, m in enumerate(cover_mask) for j in _bits(m)]
+    colors = [p._edge_color[(near[i][0], i) if join else (i, near[i][0])] for i in ids]
+    return IrreduciblePoset(VertexColoredPoset._from_ids(irr, pairs, colors), side)
 
 
 def extract_j(L) -> IrreduciblePoset:

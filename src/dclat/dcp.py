@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .errors import ParseError, ValidationError
+from .errors import NotConnected, NotRanked, ParseError, ValidationError
 from .paths import compute_rank
 from .structures import EdgeColoredPoset, Structure, VertexColoredPoset
 
@@ -208,14 +208,15 @@ def render_dot(structure: Structure) -> str:
     lines += [f'  "{v}" [label="{v}"];' if c is None else f'  "{v}" [label="{v}:{c}"];' for v, c in vertices]
     try:
         ranks = compute_rank(structure)
+    except (NotConnected, NotRanked):
+        pass  # no rank groups without a rank function
+    else:
         by_level: dict[int, list[str]] = {}
         for v, (name, _) in zip(structure.vertices, vertices):
             by_level.setdefault(ranks.rank[v], []).append(name)
         for level in sorted(by_level):
             row = "; ".join(f'"{name}"' for name in by_level[level])
             lines.append(f"  {{ rank=same; {row}; }}")
-    except Exception:
-        pass
     lines += [f'  "{a}" -> "{b}";' if c is None else f'  "{a}" -> "{b}" [label="{c}"];' for a, b, c in covers]
     lines.append("}")
     return "\n".join(lines) + "\n"

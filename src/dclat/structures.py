@@ -7,13 +7,19 @@ beats silent repair.  Vertices receive dense integer ids in declaration
 order; reachability is kept as bitsets over a topological relabeling so
 order queries are single mask operations.
 
-Structures are immutable after construction apart from one private store
-of verdicts (``_verdicts``), which starts empty.  A check records there
-what it proved about the structure, so a fact is proved once however many
-views ask for it.  Each key is written once, with a value that does not
-depend on which caller got there first, so structures can still be shared
-freely across threads.  The store holds plain values only, never anything
-that refers back to the structure.
+The order tables (the topological order and the reachability bitsets)
+are built when first read.  The public constructors and the DCP reader
+read them at once, to check the covers; a structure the library derives
+from validated ones pays for them only when a query needs them.
+
+Structures are immutable after construction apart from the order tables,
+written on first read, and one private store of verdicts (``_verdicts``),
+which starts empty.  A check records in the store what it proved about
+the structure, so a fact is proved once however many views ask for it.
+Each key of the store, like each order table, gets a value that does not
+depend on which caller got there first, so structures can still be
+shared freely across threads.  The store holds plain values only, never
+anything that refers back to the structure.
 """
 
 from __future__ import annotations
@@ -68,21 +74,28 @@ class _HasseCore:
     Internal bitsets are indexed by *topological position*; ``_pos`` maps a
     vertex id to its position and ``_at`` inverts that.  The lowest set bit
     of an up-set intersection is therefore always a minimal element, which
-    lattice computations rely on.
+    lattice computations rely on.  ``_at``, ``_pos``, ``_up`` and ``_down``
+    are built on first read; the adjacency lists are built with the
+    structure.
 
     Each kind has two ways in.  The public constructor checks labels, maps
     covers to ids (``_init_labeled``), then ``_init_checked`` checks every
-    cover as it builds the id tables; the DCP reader, which checks its own
-    labels, calls ``_init_checked`` directly.  ``_from_ids`` checks only the
-    labels: the library calls it on structures it derives from validated
-    ones, whose covers are known to be a transitive reduction.
+    cover, which reads the order tables at once; the DCP reader, which
+    checks its own labels, calls ``_init_checked`` directly.  ``_from_ids``
+    checks only the labels: the library calls it on structures it derives
+    from validated ones, whose covers are known to be a transitive
+    reduction, and their order tables wait for a query.
     """
 
     vertices: tuple[str, ...]
 
     @classmethod
     def _from_ids(cls, vertices: Sequence[str], covers: Iterable[tuple]):
-        """A structure from covers given as (lower id, upper id[, color]); only labels are checked."""
+        """A structure from covers given as (lower id, upper id[, color]); only labels are checked.
+
+        No order table is built here.  Covers that form a cycle therefore
+        raise ``ValidationError`` only at the first order query.
+        """
         self = cls.__new__(cls)
         vertices = tuple(vertices)
         index = dict(zip(vertices, range(len(vertices))))
@@ -113,7 +126,8 @@ class _HasseCore:
         """Build from id covers over distinct labels, raising on the first bad cover.
 
         A loop or a repeated cover is named in input order, then a cycle,
-        then the first cover in input order implied by a longer chain.
+        then the first cover in input order implied by a longer chain.  The
+        reduction check reads the order tables, so they are built here.
         """
         pairs = [c[:2] for c in covers]
         _check_pairs(vertices, pairs)
@@ -121,7 +135,10 @@ class _HasseCore:
         self._check_reduced(pairs)
 
     def _build(self, vertices, index, pairs: Iterable[tuple[int, int]]):
-        """Adjacency and order tables from (lower id, upper id) covers; raises if they form a cycle."""
+        """Labels, index, an empty verdict store and sorted adjacency from (lower id, upper id) covers.
+
+        The order tables are not built here: each is built on first read.
+        """
         self.vertices = vertices
         self._index = index
         self._verdicts: dict[str, object] = {}
@@ -138,9 +155,12 @@ class _HasseCore:
         self._up_adj = up_adj
         self._down_adj = down_adj
 
-        # Kahn topological sort; leftovers mean a cycle.
-        indeg = [len(adj) for adj in down_adj]
-        queue = [i for i in range(n) if indeg[i] == 0]
+    @cached_property
+    def _at(self) -> list[int]:
+        """The ids in Kahn's level order, a linear extension; raises if the covers form a cycle."""
+        up_adj = self._up_adj
+        indeg = [len(adj) for adj in self._down_adj]
+        queue = [i for i, d in enumerate(indeg) if d == 0]
         topo = []
         while queue:
             nxt = []
@@ -151,28 +171,38 @@ class _HasseCore:
                     if indeg[j] == 0:
                         nxt.append(j)
             queue = nxt
-        if len(topo) != n:
+        if len(topo) != len(indeg):
             raise ValidationError("cover relation contains a cycle")
-        self._at = topo
-        pos = [0] * n
-        for p, i in enumerate(topo):
-            pos[i] = p
-        self._pos = pos
+        return topo
 
-        up = [0] * n
-        down = [0] * n
-        for i in reversed(topo):
+    @cached_property
+    def _pos(self) -> list[int]:
+        """Per id, its position in ``_at``."""
+        pos = [0] * len(self.vertices)
+        for p, i in enumerate(self._at):
+            pos[i] = p
+        return pos
+
+    @cached_property
+    def _up(self) -> list[int]:
+        """Per id, the positions of its up-set (itself included) as a bitset."""
+        return self._closure(reversed(self._at), self._up_adj)
+
+    @cached_property
+    def _down(self) -> list[int]:
+        """Per id, the positions of its down-set (itself included) as a bitset."""
+        return self._closure(self._at, self._down_adj)
+
+    def _closure(self, order: Iterable[int], adj: Sequence[list[int]]) -> list[int]:
+        """Per id, the bitset over positions of all it reaches through ``adj``, visited in ``order``."""
+        pos = self._pos
+        reach = [0] * len(pos)
+        for i in order:
             m = 1 << pos[i]
-            for j in up_adj[i]:
-                m |= up[j]
-            up[i] = m
-        for i in topo:
-            m = 1 << pos[i]
-            for j in down_adj[i]:
-                m |= down[j]
-            down[i] = m
-        self._up = up
-        self._down = down
+            for j in adj[i]:
+                m |= reach[j]
+            reach[i] = m
+        return reach
 
     def _check_reduced(self, pairs: Iterable[tuple[int, int]]) -> None:
         """Transitive reduction: a cover must have nothing strictly between."""
@@ -264,15 +294,6 @@ class _HasseCore:
                 if between == (1 << self._pos[a]) | (1 << self._pos[b]):
                     pairs.append((a, b))
         return ids, pairs
-
-    def induced_cover_pairs(self, labels: Iterable[str]) -> list[tuple[str, str]]:
-        """Cover pairs of the subposet on ``labels`` in the induced order.
-
-        Unlike ``induced`` on edge-colored posets, a returned cover need not
-        be an edge of the parent.
-        """
-        _, pairs = self._induced_ids(labels)
-        return [(self.vertices[a], self.vertices[b]) for a, b in pairs]
 
     def connected_components(self) -> tuple[tuple[str, ...], ...]:
         """Components of the underlying undirected Hasse graph, by min id."""

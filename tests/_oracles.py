@@ -18,10 +18,12 @@ bodies of ``verify_fundamental``, ``verify_fundamental_poset``,
 ``verify_transform_identities``, the interval check of Proposition 12,
 ``weak_subposet_from_sublattice`` and ``verify_subordinate_correspondence``
 are the references for the map checks the library makes; the per-mask
-label join is the reference for its memoised labels.  ``check_sublattice`` and
-``j_components`` prove their facts locally; their references compare
-every pair's join and meet, and every pair's distances by a search per
-pair.
+label join is the reference for its memoised labels, and the extraction
+that tests every pair of irreducibles for a cover, coloring them from the
+step tables, is the reference for the one-walk extraction.
+``check_sublattice`` and ``j_components`` prove their facts locally;
+their references compare every pair's join and meet, and every pair's
+distances by a search per pair.
 """
 
 from collections import deque
@@ -34,6 +36,7 @@ from dclat import (
     NotASublattice,
     NotConnected,
     NotConnectedPair,
+    NotDistributive,
     NotRanked,
     UnknownVertex,
     ValidationError,
@@ -486,6 +489,32 @@ def subset_label_by_join(P, mask):
     if mask == 0:
         return "empty"
     return ".".join(P.vertices[i] for i in _bits(mask))
+
+
+def induced_cover_pairs(p, labels):
+    """Cover pairs of the subposet of ``p`` on ``labels`` in the induced order, by testing every pair.
+
+    Unlike ``induced`` on edge-colored posets, a returned cover need not
+    be an edge of the parent.
+    """
+    _, pairs = p._induced_ids(labels)
+    return [(p.vertices[a], p.vertices[b]) for a, b in pairs]
+
+
+def extract_by_induced_pairs(L, side):
+    """Irreducibles of one side, colored from the step tables and ordered by the induced cover pairs."""
+    view = birkhoff._coerce_view(L)
+    birkhoff._require_dcdl(view)
+    p = view.poset
+    irr = view.join_irreducibles() if side == "join" else view.meet_irreducibles()
+    if len(irr) != view.length:
+        raise NotDistributive(
+            f"{len(irr)} {side} irreducibles for length {view.length}; lattice cannot be distributive"
+        )
+    steps = p.down_steps if side == "join" else p.up_steps
+    colors = {x: steps(x)[0][1] for x in irr}
+    covers = induced_cover_pairs(p, irr)
+    return birkhoff.IrreduciblePoset(VertexColoredPoset(irr, covers, colors), side)
 
 
 # The suites below are the library's bodies from before it checked the

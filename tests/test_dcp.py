@@ -16,6 +16,7 @@ from dclat import (
     dual,
     random_poset,
 )
+from dclat import dcp
 from dclat.dcp import emit, parse, parse_document, render_dot
 
 
@@ -230,3 +231,11 @@ class TestRenderDot:
     def test_deterministic(self, fig_poset, fig_lattice):
         assert render_dot(fig_poset) == render_dot(fig_poset)
         assert render_dot(fig_lattice) == render_dot(fig_lattice)
+
+    def test_fault_in_rank_computation_propagates(self, fig_lattice, monkeypatch):
+        def broken(structure):
+            raise RuntimeError("rank fault")
+
+        monkeypatch.setattr(dcp, "compute_rank", broken)
+        with pytest.raises(RuntimeError, match="rank fault"):
+            render_dot(fig_lattice)

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import assert_matches_constructor, check_sublattice_by_pairs, j_components_by_pair_bfs
+from _oracles import (
+    assert_matches_constructor,
+    check_sublattice_by_pairs,
+    induced_cover_pairs,
+    j_components_by_pair_bfs,
+)
 from corpus import (
     edge_chain,
     hexagon,
@@ -452,7 +457,7 @@ def _sublattice_candidates(L, rng):
     verts = L.vertices
     S = sorted(rng.sample(verts, rng.randint(1, len(verts))), key=L.index_of)
     colors = {(verts[a], verts[b]): c for (a, b), c in L._edge_color.items()}
-    yield EdgeColoredPoset(S, [(a, b, colors.get((a, b), 0)) for a, b in L.induced_cover_pairs(S)])
+    yield EdgeColoredPoset(S, [(a, b, colors.get((a, b), 0)) for a, b in induced_cover_pairs(L, S)])
     M = rng.choice([M for M in FOREIGN if len(M) <= len(verts)])
     yield M.relabel(dict(zip(M.vertices, rng.sample(verts, len(M)))))
     s = rng.choice(verts)
