@@ -155,6 +155,15 @@ class TestProductClosure:
         with pytest.raises(HypothesisViolated):
             verify_product_closure(factors, [k for k in K if k != "(c0,c0)"])
 
+    @pytest.mark.parametrize("K, pair", [
+        (["(c0,c0)", "(c1,c0)", "(c0,c1)", "(c2,c1)"], ("(c0,c1)", "(c1,c0)")),  # their join is missing
+        (["(c0,c0)", "(c1,c1)", "(c2,c0)", "(c2,c1)"], ("(c1,c1)", "(c2,c0)")),  # their meet is missing
+    ])
+    def test_unclosed_subset_names_its_first_pair(self, K, pair):
+        with pytest.raises(HypothesisViolated) as caught:
+            verify_product_closure([edge_chain(2), edge_chain(1)], K)
+        assert str(caught.value) == f"subset not closed under componentwise bounds at {pair!r}"
+
     def test_nonmodular_factor_rejected(self):
         from corpus import n5
 
