@@ -24,8 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .isomorphism import _map_holds, _verify_witness
-from .lattice import LatticeView, as_lattice, is_boolean, is_distributive_fast
-from .paths import CheckResult, RankFunction
+from .lattice import LatticeView, _record_proved, as_lattice, is_boolean, is_distributive_fast
 from .report import Report
 from .structures import (
     Color,
@@ -103,6 +102,7 @@ class IdealLattice:
         return frozenset(self.source.vertices[i] for i in _bits(m))
 
     def label_for(self, subset: Iterable[str]) -> str:
+        subset = list(subset)  # read twice, once by the error message
         m = 0
         for v in subset:
             m |= 1 << self.source.index_of(v)
@@ -149,7 +149,7 @@ def enumerate_ideal_masks(P: VertexColoredPoset) -> list[int]:
     may enter only once its lower covers are present.  The family never
     shrinks, so the extension stops as soon as it passes ``ELEMENT_CAP``.
     """
-    down, _ = P._cover_masks()
+    down, _ = P._cover_masks
     out = [0]
     for v in P._at:  # topological ids
         need, bit = down[v], 1 << v
@@ -177,7 +177,7 @@ def _subset_lattice(P: VertexColoredPoset, mode: str) -> IdealLattice:
     masks = sorted(m ^ flip for m in enumerate_ideal_masks(P))
     labels = _unique_labels(_subset_labels(P, masks))
     id_of = {m: k for k, m in enumerate(masks)}
-    down, _ = P._cover_masks()
+    down, _ = P._cover_masks
     # (vertex bit, bits of its lower covers, its color) per source vertex
     steps = [(1 << i, need, P.colors[v]) for i, (v, need) in enumerate(zip(P.vertices, down))]
     edges = []
@@ -188,15 +188,7 @@ def _subset_lattice(P: VertexColoredPoset, mode: str) -> IdealLattice:
                 edges.append((k, id_of[m ^ bit], color))
     # Birkhoff's theorem makes these covers a lattice's transitive reduction
     lattice = EdgeColoredPoset._from_ids(labels, edges)
-    holds = CheckResult(True, None)
-    lattice._verdicts.update(
-        lattice=True,
-        diamond=holds,
-        balanced=holds,
-        distributive=holds,
-        distributive_fast=True,
-        rank=RankFunction(dict(zip(labels, [(m ^ flip).bit_count() for m in masks])), len(P)),
-    )
+    _record_proved(lattice, dict(zip(labels, [(m ^ flip).bit_count() for m in masks])), len(P), True)
     return IdealLattice(P, mode, masks, lattice)
 
 
@@ -249,8 +241,8 @@ def _coerce_view(L) -> LatticeView:
     return as_lattice(L)
 
 
-def _extract(L, side: str) -> IrreduciblePoset:
-    """Irreducibles of one side ("join" or "meet"), colored by their single cover edge.
+def _extract(L, side: str) -> tuple[IrreduciblePoset, list[int]]:
+    """Irreducibles of one side ("join" or "meet"), colored by their single cover edge, and phi.
 
     Join side: walk up a linear extension of L and give each element x
     the mask phi(x) of the join irreducibles at or below it.  y <= x holds
@@ -262,7 +254,8 @@ def _extract(L, side: str) -> IrreduciblePoset:
     covers are the transitive reduction of that strict order, and j's
     color is the color of the edge j_* -> j.  The meet side is the same
     walk down, through upper covers.  Of L's tables only the topological
-    order, the adjacency and the edge colors are read.
+    order, the adjacency and the edge colors are read.  phi is returned per
+    id of L, its bit k standing for the poset's k-th vertex.
     """
     view = _coerce_view(L)
     _require_dcdl(view)
@@ -295,17 +288,17 @@ def _extract(L, side: str) -> IrreduciblePoset:
     cover_mask = _reduced_ids([list(_bits(m)) for m in strict], order[::-1])
     pairs = [(j, k) if join else (k, j) for k, m in enumerate(cover_mask) for j in _bits(m)]
     colors = [p._edge_color[(near[i][0], i) if join else (i, near[i][0])] for i in ids]
-    return IrreduciblePoset(VertexColoredPoset._from_ids(irr, pairs, colors), side)
+    return IrreduciblePoset(VertexColoredPoset._from_ids(irr, pairs, colors), side), phi
 
 
 def extract_j(L) -> IrreduciblePoset:
     """Poset of elements covering exactly one element, colored by that edge."""
-    return _extract(L, "join")
+    return _extract(L, "join")[0]
 
 
 def extract_m(L) -> IrreduciblePoset:
     """Poset of elements covered by exactly one element, colored by that edge."""
-    return _extract(L, "meet")
+    return _extract(L, "meet")[0]
 
 
 def cover_color_profile(il: IdealLattice, x: str) -> tuple[tuple[Color, ...], tuple[Color, ...]]:
@@ -317,7 +310,7 @@ def cover_color_profile(il: IdealLattice, x: str) -> tuple[tuple[Color, ...], tu
     """
     P = il.source
     m = il.mask_of_label[x] if x in il.mask_of_label else il.mask_of_label[il.label_for([x])]
-    down, up = P._cover_masks()
+    down, up = P._cover_masks
     # an ideal drops a maximal vertex going down and adds one going up; a
     # filter drops a minimal vertex going up and adds one going down
     inner, outer = (down, up) if il.mode == "ideal" else (up, down)
@@ -342,19 +335,19 @@ def _ids_in(il: IdealLattice, masks: Iterable[int]) -> list[int]:
     return [id_of.get(m, -1) for m in masks]
 
 
-def _rebuilt_witness(view: LatticeView, irr: VertexColoredPoset, side: str) -> dict[str, str] | None:
+def _rebuilt_witness(view: LatticeView, irr: IrreduciblePoset, phi: list[int]) -> dict[str, str] | None:
     """The fundamental theorem's map from L onto the lattice rebuilt from ``irr``, if it holds.
 
-    ``irr`` is L's join (or meet) irreducible poset, its vertices L's labels.
-    Join side: x goes to the ideal {j in irr : j <= x} of J(irr).  Meet side:
-    x goes to the filter {m in irr : m >= x} of M(irr).  Returns the map as
-    labels when it is a color-preserving isomorphism, else None.
+    ``irr`` and ``phi`` are what ``_extract`` returns for L: the join (or
+    meet) irreducible poset, its vertices L's labels, and per element the
+    mask of the irreducibles at or below (above) it.  Join side: x goes to
+    the ideal phi(x) of J(irr).  Meet side: x goes to the filter phi(x) of
+    M(irr).  Returns the map as labels when it is a color-preserving
+    isomorphism, else None.
     """
     p = view.poset
-    reach = p._down if side == "join" else p._up
-    bits = [(1 << k, 1 << p._pos[p._index[v]]) for k, v in enumerate(irr.vertices)]
-    rebuilt = build_J(irr) if side == "join" else build_M(irr)
-    to_b = _ids_in(rebuilt, (sum(k for k, at in bits if r & at) for r in reach))
+    rebuilt = build_J(irr.poset) if irr.provenance == "join" else build_M(irr.poset)
+    to_b = _ids_in(rebuilt, phi)
     b = rebuilt.lattice
     if not _map_holds(p, b, to_b):
         return None
@@ -371,13 +364,12 @@ def verify_fundamental(L) -> Report:
     """
     view = _coerce_view(L)
     report = Report("lattice roundtrips through irreducibles")
-    jp = extract_j(view)
-    mp = extract_m(view)
+    (jp, phi_j), (mp, phi_m) = _extract(view, "join"), _extract(view, "meet")
     report.record("join and meet irreducible counts equal the length",
                   len(jp.poset) == view.length == len(mp.poset))
-    wit_j = _rebuilt_witness(view, jp.poset, "join")
+    wit_j = _rebuilt_witness(view, jp, phi_j)
     report.record("lattice rebuilt from join irreducibles", wit_j is not None)
-    wit_m = _rebuilt_witness(view, mp.poset, "meet")
+    wit_m = _rebuilt_witness(view, mp, phi_m)
     report.record("lattice rebuilt from meet irreducibles", wit_m is not None)
     report.details["join_witness"] = wit_j
     report.details["meet_witness"] = wit_m
@@ -424,10 +416,10 @@ def is_birkhoff_representable(L) -> tuple[bool, VertexColoredPoset | None]:
         raise NotDistributive("lattice is not distributive")
     if not view.diamond.ok:
         return False, None
-    witness = extract_j(view).poset
-    if _rebuilt_witness(view, witness, "join") is None:
+    witness, phi = _extract(view, "join")
+    if _rebuilt_witness(view, witness, phi) is None:
         raise ValidationError("witness poset failed to rebuild the lattice")
-    return True, witness
+    return True, witness.poset
 
 
 def verify_transform_identities(
@@ -456,10 +448,9 @@ def verify_transform_identities(
     def irreducibles_after(label: str, built: IdealLattice, K: EdgeColoredPoset, to_K):
         """``holds``, then K's join and meet irreducibles; a copy of ``built`` takes its verdicts and rank."""
         if (to := holds(label, built, K, to_K)) is not None:
-            proved = built.lattice._verdicts
-            K._verdicts.update({k: proved[k] for k in ("lattice", "diamond", "balanced", "distributive", "distributive_fast")})
-            rank = {K.vertices[i]: proved["rank"].rank[x] for x, i in zip(built.lattice.vertices, to)}
-            K._verdicts["rank"] = RankFunction(rank, proved["rank"].length)
+            rank = built.view.rank_function
+            to_rank = {K.vertices[i]: rank.rank[x] for x, i in zip(built.lattice.vertices, to)}
+            _record_proved(K, to_rank, rank.length, True)
         view = as_lattice(K)  # one view serves both extractions, and K is dropped after them
         return extract_j(view).poset, extract_m(view).poset
 

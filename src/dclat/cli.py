@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import product
 from typing import NamedTuple
 
 from . import birkhoff, dcp, generators, lattice, paths, substructure
@@ -25,6 +26,7 @@ from .errors import (
 )
 from .structures import (
     EdgeColoredPoset,
+    ProductView,
     VertexColoredPoset,
     cartesian_product,
     disjoint_sum,
@@ -268,7 +270,7 @@ VERIFY = {
     "prop1": (EdgeColoredPoset, None, ("seed",), lambda L, _, args: [lattice.verify_distance_laws(L, args.seed)]),
     "prop3": (EdgeColoredPoset, None, (), lambda L, _, __: paths.verify_path_colors_all(lattice.as_lattice(L))),
     "prop10": (EdgeColoredPoset, EdgeColoredPoset, (), lambda L, K, _: [
-        substructure.verify_product_closure([L, K], substructure.ProductView([L, K]).poset.vertices)
+        substructure.verify_product_closure([L, K], map(ProductView.label_of, product(L.vertices, K.vertices)))
     ]),
     "prop12": (EdgeColoredPoset, None, (), lambda L, _, __: [birkhoff.verify_interval_booleans(L)]),
     "prop13": (EdgeColoredPoset, None, (), lambda L, _, __: [substructure.verify_component_structure(L)]),

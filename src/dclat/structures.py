@@ -272,6 +272,7 @@ class _HasseCore:
 
     # -- connectivity ----------------------------------------------------
 
+    @cached_property
     def _cover_masks(self) -> tuple[list[int], list[int]]:
         """Per vertex id, the masks over vertex ids of its lower and of its upper covers."""
         return (

@@ -33,8 +33,8 @@ from .errors import (
     ValidationError,
 )
 from .isomorphism import _map_holds, _verify_witness
-from .lattice import LatticeView, as_lattice, is_distributive_fast, is_modular
-from .paths import CheckResult, RankFunction, _bfs
+from .lattice import LatticeView, _record_proved, as_lattice, is_distributive_fast, is_modular
+from .paths import _bfs
 from .report import Report
 from .structures import (
     EdgeColoredPoset,
@@ -180,17 +180,21 @@ def verify_product_closure(factors: Sequence[EdgeColoredPoset], K_labels: Iterab
         """The product id whose coordinates are the factors' joins (or meets) of x's and y's."""
         return id_of[tuple([t[a][b] for t, a, b in zip(tables, coords[x], coords[y])])]
 
-    K = sorted({L.index_of(x) for x in K_labels})
-    kset = set(K)
+    kset = {L.index_of(x) for x in K_labels}
     bottom, top = L.index_of(lv.minimum), L.index_of(lv.maximum)
     if bottom not in kset or top not in kset:
         raise HypothesisViolated("subset must contain the product's extremes")
-    for i, x in enumerate(K):
-        for y in K[i + 1 :]:
-            if componentwise(joins, x, y) not in kset or componentwise(meets, x, y) not in kset:
+    # one pass, in id order: each pair's componentwise bounds are compared with the
+    # product's, and a pair of K's must keep them in K
+    agree = True
+    for x in range(len(L)):
+        for y in range(x + 1, len(L)):
+            join, meet = componentwise(joins, x, y), componentwise(meets, x, y)
+            if x in kset and y in kset and not (join in kset and meet in kset):
                 raise HypothesisViolated(
                     f"subset not closed under componentwise bounds at ({verts[x]!r}, {verts[y]!r})"
                 )
+            agree = agree and lv._join_id(x, y) == join and lv._meet_id(x, y) == meet
     # a bottom-to-top Hasse path inside K, along L's edges between elements of K
     inside = EdgeColoredPoset._from_ids(verts, [(a, b, c) for (a, b), c in L._edge_color.items() if {a, b} <= kset])
     if top not in _bfs(inside, bottom, (top,)):
@@ -212,20 +216,13 @@ def verify_product_closure(factors: Sequence[EdgeColoredPoset], K_labels: Iterab
         lv.minimum == pv.label_of([v.minimum for v in views])
         and lv.maximum == pv.label_of([v.maximum for v in views]),
     )
-    report.record(
-        "product joins and meets are componentwise",
-        all(
-            lv._join_id(x, y) == componentwise(joins, x, y) and lv._meet_id(x, y) == componentwise(meets, x, y)
-            for x in range(len(L))
-            for y in range(x + 1, len(L))
-        ),
-    )
+    report.record("product joins and meets are componentwise", agree)
     report.record("product is modular", is_modular(lv))
     report.record("product is diamond-colored", lv.diamond.ok)
     if all_distributive:
         report.record("product is distributive", is_distributive_fast(lv))
 
-    sub = L.induced(verts[i] for i in K)
+    sub = L.induced(verts[i] for i in kset)
     emb = check_sublattice(as_lattice(sub), lv)
     report.record("subset is a sublattice", True)  # check_sublattice would have raised
     report.record("subset sublattice is full-length", emb.full_length)
@@ -424,10 +421,7 @@ def _proved_component(lv: LatticeView, ids: list[int], J: frozenset[int]) -> Edg
     rank = lv.rank_function.rank
     low = min(rank[x] for x in sub.vertices)
     shifted = {x: rank[x] - low for x in sub.vertices}
-    holds = CheckResult(True, None)
-    sub._verdicts.update(lattice=True, diamond=holds, balanced=holds, rank=RankFunction(shifted, max(shifted.values())))
-    if lv.poset._verdicts.get("distributive_fast"):
-        sub._verdicts.update(distributive=holds, distributive_fast=True)
+    _record_proved(sub, shifted, max(shifted.values()), bool(lv.poset._verdicts.get("distributive_fast")))
     return sub
 
 
@@ -575,7 +569,7 @@ def subordinate_of(il: IdealLattice, t, colors: Iterable[int]) -> JSubordinate:
     else:
         t_label = il.label_for(t if not isinstance(t, str) else [t])
     t_mask = il.mask_of_label[t_label]
-    down, up = P._cover_masks()
+    down, up = P._cover_masks
     color_of = [P.colors[v] for v in P.vertices]
 
     r_mask = t_mask
@@ -626,7 +620,7 @@ def subordinates_by_definition(P: VertexColoredPoset, colors: Iterable[int]) -> 
         raise EnumerationCapExceeded(f"definition search is capped at {DEFINITION_SEARCH_CAP} vertices")
     J = frozenset(colors)
     n = len(P)
-    down, up = P._cover_masks()
+    down, up = P._cover_masks
     color_of = [P.colors[v] for v in P.vertices]
     found: set[frozenset[str]] = set()
     for r_mask in enumerate_ideal_masks(P):

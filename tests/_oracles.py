@@ -23,20 +23,27 @@ that tests every pair of irreducibles for a cover, coloring them from the
 step tables, is the reference for the one-walk extraction.
 ``check_sublattice`` and ``j_components`` prove their facts locally;
 their references compare every pair's join and meet, and every pair's
-distances by a search per pair.
+distances by a search per pair.  ``verify_distance_laws`` and
+``verify_product_closure`` compute each pair's bounds once; their
+references are the two-pass bodies they replaced.
 """
 
+import random
 from collections import deque
 from contextlib import contextmanager
 from itertools import permutations
 
 from dclat import (
+    DclatError,
     EdgeColoredPoset,
+    HypothesisViolated,
     NotALattice,
     NotASublattice,
     NotConnected,
     NotConnectedPair,
+    NotDiamondColored,
     NotDistributive,
+    NotModular,
     NotRanked,
     UnknownVertex,
     ValidationError,
@@ -47,7 +54,7 @@ from dclat import (
     is_distributive_fast,
     is_modular,
 )
-from dclat import birkhoff, substructure
+from dclat import birkhoff, lattice, paths, substructure
 from dclat.isomorphism import find_isomorphism
 from dclat.lattice import DistributivityWitness
 from dclat.paths import CheckResult, DiamondWitness, RankFunction
@@ -776,4 +783,124 @@ def verify_subordinate_correspondence_by_search(P, colors):
                       find_isomorphism(comp.poset, jq.lattice) is not None)
         report.record(f"component at {comp.minimum!r}: irreducibles give back the subordinate",
                       find_isomorphism(s.extract_j(comp.poset).poset, sub.poset) is not None)
+    return report
+
+
+# The pair-by-pair bodies of Propositions 1 and 10 from before each fact was
+# computed once: prop1 checks the rank identity on labels, then compares a
+# search per source with ``distance_modular`` per pair; prop10 checks K's
+# closure, then compares every pair of the product with the componentwise
+# bounds again.
+
+
+def verify_distance_laws_by_pairs(L, seed=None):
+    """``verify_distance_laws`` with the identity and each pair's distance checked on labels, in two passes."""
+    report = Report("distance and balance laws")
+    balanced = paths.check_topographically_balanced(L).ok
+    try:
+        view = as_lattice(L)
+        rank = view.rank_function.rank
+        verts = view.poset.vertices
+        modular = all(
+            2 * rank[view.join(x, y)] - rank[x] - rank[y] == rank[x] + rank[y] - 2 * rank[view.meet(x, y)]
+            for i, x in enumerate(verts)
+            for y in verts[i + 1 :]
+        )
+    except DclatError:
+        modular = False
+    report.record("balance agrees with the modular rank identity", balanced == modular)
+    if not modular:
+        return report
+    length = view.length
+    ok_dist = ok_bound = True
+    for i, s in enumerate(verts):
+        dist = paths._bfs(L, i, range(i, len(verts)))
+        for j in range(i, len(verts)):
+            if dist[j] != paths.distance_modular(view, s, verts[j]):
+                ok_dist = False
+            if dist[j] > length:
+                ok_bound = False
+    report.record("rank formula equals graph distance on all pairs", ok_dist)
+    report.record("distances never exceed the length", ok_bound)
+    report.record("bottom-to-top distance equals the length",
+                  paths.distance(L, view.minimum, view.maximum) == length)
+    rng = random.Random(seed if seed is not None else 0)
+    ok_rewrite = True
+    for _ in range(min(20, len(verts) * 2)):
+        s, t = rng.choice(verts), rng.choice(verts)
+        walk = lattice._random_shortest_path(L, s, t, rng)
+        mt, vl = paths.mountainize(view, walk), paths.valleyize(view, walk)
+        if mt.length != walk.length or mt.apex() != view.join(s, t):
+            ok_rewrite = False
+        if vl.length != walk.length or vl.nadir() != view.meet(s, t):
+            ok_rewrite = False
+        if sum(a + d for a, d in paths.ascent_descent_counts(walk).values()) != walk.length:
+            ok_rewrite = False
+        if paths.rank_via_path(L, walk) != rank[walk.end]:
+            ok_rewrite = False
+    report.record("shortest paths rewrite to extremal mountain and valley paths", ok_rewrite)
+    return report
+
+
+def verify_product_closure_two_pass(factors, K_labels):
+    """``verify_product_closure`` with K's closure and the product's bounds checked in separate pair loops."""
+    s = substructure
+    views = []
+    for idx, f in enumerate(factors):
+        v = as_lattice(f)
+        try:
+            s._diamond_modular(v, f"factor {idx}")
+        except (NotDiamondColored, NotModular) as e:
+            raise HypothesisViolated(str(e)) from None
+        views.append(v)
+    all_distributive = all(is_distributive_fast(v) for v in views)
+    pv = s.ProductView(factors)
+    L = pv.poset
+    lv = as_lattice(L)
+    coords, verts = pv._coord_ids, L.vertices
+    id_of = {c: e for e, c in enumerate(coords)}
+    joins = [[[v._join_id(a, b) for b in range(len(v))] for a in range(len(v))] for v in views]
+    meets = [[[v._meet_id(a, b) for b in range(len(v))] for a in range(len(v))] for v in views]
+
+    def componentwise(tables, x, y):
+        return id_of[tuple([t[a][b] for t, a, b in zip(tables, coords[x], coords[y])])]
+
+    K = sorted({L.index_of(x) for x in K_labels})
+    kset = set(K)
+    if L.index_of(lv.minimum) not in kset or L.index_of(lv.maximum) not in kset:
+        raise HypothesisViolated("subset must contain the product's extremes")
+    for i, x in enumerate(K):
+        for y in K[i + 1 :]:
+            if componentwise(joins, x, y) not in kset or componentwise(meets, x, y) not in kset:
+                raise HypothesisViolated(
+                    f"subset not closed under componentwise bounds at ({verts[x]!r}, {verts[y]!r})"
+                )
+    inside = EdgeColoredPoset._from_ids(verts, [(a, b, c) for (a, b), c in L._edge_color.items() if {a, b} <= kset])
+    bottom, top = L.index_of(lv.minimum), L.index_of(lv.maximum)
+    if top not in paths._bfs(inside, bottom, (top,)):
+        raise HypothesisViolated("no bottom-to-top path inside the subset")
+    report = Report("product closure yields a full-length sublattice")
+    rank = lv.rank_function.rank
+    report.record("product length is the sum of factor lengths", lv.length == sum(v.length for v in views))
+    report.record("product rank is the sum of coordinate ranks", all(
+        rank[lab] == sum(views[q].rank_function.rank[c] for q, c in enumerate(pv.coords[lab])) for lab in verts))
+    report.record("product extremes are the coordinate extremes",
+                  lv.minimum == pv.label_of([v.minimum for v in views])
+                  and lv.maximum == pv.label_of([v.maximum for v in views]))
+    report.record("product joins and meets are componentwise", all(
+        lv._join_id(x, y) == componentwise(joins, x, y) and lv._meet_id(x, y) == componentwise(meets, x, y)
+        for x in range(len(L)) for y in range(x + 1, len(L))))
+    report.record("product is modular", is_modular(lv))
+    report.record("product is diamond-colored", lv.diamond.ok)
+    if all_distributive:
+        report.record("product is distributive", is_distributive_fast(lv))
+    emb = s.check_sublattice(as_lattice(L.induced(verts[i] for i in K)), lv)
+    report.record("subset is a sublattice", True)
+    report.record("subset sublattice is full-length", emb.full_length)
+    report.record("subset sublattice is edge-colored", emb.edge_colored)
+    report.record("subset sublattice is modular", is_modular(emb.sub_view))
+    report.record("subset sublattice is diamond-colored", emb.sub_view.diamond.ok)
+    if all_distributive:
+        report.record("subset sublattice is distributive", is_distributive_fast(emb.sub_view))
+    report.record("rank and cover agreement", s.verify_full_length_agreement(emb).passed)
     return report

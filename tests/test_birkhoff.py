@@ -11,6 +11,7 @@ from dclat import (
     NotDiamondColored,
     NotDistributive,
     SizeCapExceeded,
+    UnknownVertex,
     ValidationError,
     VertexColoredPoset,
     ancestor_interval_boolean,
@@ -19,6 +20,7 @@ from dclat import (
     boolean_lattice,
     build_J,
     build_M,
+    chain_poset,
     compute_rank,
     cover_color_profile,
     descendant_interval_boolean,
@@ -103,6 +105,13 @@ class TestBuildJ:
                 if all(down[i] & m == down[i] for i in range(len(P)) if m >> i & 1)
             ]
             assert enumerate_ideal_masks(P) == closed
+
+    def test_label_for_reads_an_iterator_once(self):
+        il = build_J(chain_poset(2))
+        assert il.label_for(v for v in ["c0"]) == "c0"
+        with pytest.raises(UnknownVertex) as caught:
+            il.label_for(v for v in ["c1"])
+        assert str(caught.value) == "['c1'] is not an element of the ideal lattice"
 
     def test_label_collisions_are_deduplicated(self):
         # a vertex literally named like the empty-ideal label
