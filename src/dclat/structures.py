@@ -74,9 +74,9 @@ class _HasseCore:
     Internal bitsets are indexed by *topological position*; ``_pos`` maps a
     vertex id to its position and ``_at`` inverts that.  The lowest set bit
     of an up-set intersection is therefore always a minimal element, which
-    lattice computations rely on.  ``_at``, ``_pos``, ``_up`` and ``_down``
-    are built on first read; the adjacency lists are built with the
-    structure.
+    lattice computations rely on.  ``_at``, ``_pos``, ``_up``, ``_down``
+    and ``_cover_masks`` are built on first read; the adjacency lists are
+    built with the structure.
 
     Each kind has two ways in.  The public constructor checks labels, maps
     covers to ids (``_init_labeled``), then ``_init_checked`` checks every

@@ -158,7 +158,7 @@ class TestProductClosure:
     @pytest.mark.parametrize("K, pair", [
         (["(c0,c0)", "(c1,c0)", "(c0,c1)", "(c2,c1)"], ("(c0,c1)", "(c1,c0)")),  # their join is missing
         (["(c0,c0)", "(c1,c1)", "(c2,c0)", "(c2,c1)"], ("(c1,c1)", "(c2,c0)")),  # their meet is missing
-    ])
+    ], ids=["join-missing", "meet-missing"])
     def test_unclosed_subset_names_its_first_pair(self, K, pair):
         with pytest.raises(HypothesisViolated) as caught:
             verify_product_closure([edge_chain(2), edge_chain(1)], K)
