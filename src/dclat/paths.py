@@ -87,25 +87,19 @@ class Path:
     def vertex_sequence(self) -> tuple[str, ...]:
         return (self.start,) + tuple(s.target for s in self.steps)
 
+    def _turn(self, ascending: bool) -> str | None:
+        """The vertex where the path turns, when it steps ``ascending`` then the other way, else None."""
+        first = [s.ascending == ascending for s in self.steps]
+        k = first.index(False) if False in first else len(first)
+        return None if any(first[k:]) else self.vertex_sequence()[k]
+
     def apex(self) -> str | None:
         """The peak vertex when the path ascends then descends, else None."""
-        dirs = [s.ascending for s in self.steps]
-        k = 0
-        while k < len(dirs) and dirs[k]:
-            k += 1
-        if any(dirs[k:]):
-            return None
-        return self.vertex_sequence()[k]
+        return self._turn(True)
 
     def nadir(self) -> str | None:
         """The dip vertex when the path descends then ascends, else None."""
-        dirs = [s.ascending for s in self.steps]
-        k = 0
-        while k < len(dirs) and not dirs[k]:
-            k += 1
-        if not all(dirs[k:]):
-            return None
-        return self.vertex_sequence()[k]
+        return self._turn(False)
 
     def __repr__(self):
         return f"Path({' -> '.join(self.vertex_sequence())})"
@@ -179,9 +173,9 @@ def rank_via_path(p: EdgeColoredPoset, path: Path) -> int:
     """rank(start) plus the signed color-step sum; equals rank(end) when ranked."""
     if path.poset is not p and path.poset != p:
         raise ValidationError("path does not belong to the given poset")
-    rf = compute_rank(p)
+    rank = p._verdict("rank", lambda: compute_rank(p)).rank
     counts = ascent_descent_counts(path)
-    return rf.rank[path.start] + sum(a - d for a, d in counts.values())
+    return rank[path.start] + sum(a - d for a, d in counts.values())
 
 
 class DiamondWitness(NamedTuple):

@@ -281,19 +281,20 @@ class _HasseCore:
         )
 
     def _induced_ids(self, labels: Iterable[str]) -> tuple[list[int], list[tuple[int, int]]]:
-        """Sorted ids of ``labels`` and the id pairs that are covers in the induced order."""
+        """Sorted ids of ``labels`` and the id pairs that are covers in the induced order, by id."""
         ids = sorted(self.index_of(v) for v in set(labels))
-        sub_mask = 0
-        for i in ids:
-            sub_mask |= 1 << self._pos[i]
+        up, pos, at = self._up, self._pos, self._at
+        sub_mask = sum(1 << pos[i] for i in ids)
         pairs = []
         for a in ids:
-            for b in ids:
-                if a == b or not (self._down[b] >> self._pos[a] & 1):
-                    continue
-                between = self._up[a] & self._down[b] & sub_mask
-                if between == (1 << self._pos[a]) | (1 << self._pos[b]):
-                    pairs.append((a, b))
+            # a's covers are the minimal labels strictly above it: the lowest position
+            # left is one, and dropping its up-set leaves the labels above none found yet
+            above, covers = (up[a] & sub_mask) ^ (1 << pos[a]), []
+            while above:
+                b = at[(above & -above).bit_length() - 1]
+                covers.append(b)
+                above &= ~up[b]
+            pairs.extend((a, b) for b in sorted(covers))
         return ids, pairs
 
     def connected_components(self) -> tuple[tuple[str, ...], ...]:

@@ -22,6 +22,7 @@ from .birkhoff import (
     extract_j,
 )
 from .errors import (
+    DclatError,
     EnumerationCapExceeded,
     HypothesisViolated,
     NotALattice,
@@ -168,33 +169,36 @@ def verify_product_closure(factors: Sequence[EdgeColoredPoset], K_labels: Iterab
 
     coords, verts = pv._coord_ids, L.vertices
     id_of = {c: e for e, c in enumerate(coords)}
+    joins, meets = [v._join_id for v in views], [v._meet_id for v in views]
 
-    def table(probe, n: int) -> list[list[int]]:
-        # a factor's n^2 table costs less than the product's pair loops below
-        return [[probe(a, b) for b in range(n)] for a in range(n)]
-
-    joins = [table(v._join_id, len(v)) for v in views]
-    meets = [table(v._meet_id, len(v)) for v in views]
-
-    def componentwise(tables, x: int, y: int) -> int:
+    def componentwise(probes, x: int, y: int) -> int:
         """The product id whose coordinates are the factors' joins (or meets) of x's and y's."""
-        return id_of[tuple([t[a][b] for t, a, b in zip(tables, coords[x], coords[y])])]
+        return id_of[tuple([probe(a, b) for probe, a, b in zip(probes, coords[x], coords[y])])]
 
     kset = {L.index_of(x) for x in K_labels}
     bottom, top = L.index_of(lv.minimum), L.index_of(lv.maximum)
     if bottom not in kset or top not in kset:
         raise HypothesisViolated("subset must contain the product's extremes")
-    # one pass, in id order: each pair's componentwise bounds are compared with the
-    # product's, and a pair of K's must keep them in K
-    agree = True
-    for x in range(len(L)):
-        for y in range(x + 1, len(L)):
-            join, meet = componentwise(joins, x, y), componentwise(meets, x, y)
-            if x in kset and y in kset and not (join in kset and meet in kset):
-                raise HypothesisViolated(
-                    f"subset not closed under componentwise bounds at ({verts[x]!r}, {verts[y]!r})"
-                )
-            agree = agree and lv._join_id(x, y) == join and lv._meet_id(x, y) == meet
+    # The componentwise bounds form a lattice whose covers are L's, so by the lemma of
+    # ``check_sublattice`` they are L's bounds once they agree on sibling upper covers
+    # (joins) and lower covers (meets); then K is closed iff it is a sublattice of L.
+    agree = all(
+        bound(a, b) == componentwise(probes, a, b)
+        for adj, bound, probes in ((L._up_adj, lv._join_id, joins), (L._down_adj, lv._meet_id, meets))
+        for near in adj for j, a in enumerate(near) for b in near[j + 1 :]
+    )
+    K = sorted(kset)
+    try:
+        emb = check_sublattice(as_lattice(L.induced(verts[i] for i in K)), lv) if agree else None
+    except DclatError:  # raised again below, after the closure and path errors
+        emb = None
+    if emb is None:
+        for i, x in enumerate(K):
+            for y in K[i + 1 :]:
+                if componentwise(joins, x, y) not in kset or componentwise(meets, x, y) not in kset:
+                    raise HypothesisViolated(
+                        f"subset not closed under componentwise bounds at ({verts[x]!r}, {verts[y]!r})"
+                    )
     # a bottom-to-top Hasse path inside K, along L's edges between elements of K
     inside = EdgeColoredPoset._from_ids(verts, [(a, b, c) for (a, b), c in L._edge_color.items() if {a, b} <= kset])
     if top not in _bfs(inside, bottom, (top,)):
@@ -222,8 +226,8 @@ def verify_product_closure(factors: Sequence[EdgeColoredPoset], K_labels: Iterab
     if all_distributive:
         report.record("product is distributive", is_distributive_fast(lv))
 
-    sub = L.induced(verts[i] for i in kset)
-    emb = check_sublattice(as_lattice(sub), lv)
+    if emb is None:  # raises what it raises on a subset that is not a sublattice
+        emb = check_sublattice(as_lattice(L.induced(verts[i] for i in K)), lv)
     report.record("subset is a sublattice", True)  # check_sublattice would have raised
     report.record("subset sublattice is full-length", emb.full_length)
     report.record("subset sublattice is edge-colored", emb.edge_colored)

@@ -10,7 +10,9 @@ do the label-level bodies the library replaced with id-level ones: the
 diamond scan, the per-pair BFS distance, the atom-support Boolean test
 the cubic transitive reduction, the two-factor product built pair by
 pair, the triple-by-triple distributivity scan, the r-by-r witness scan
-that the closure-pruned one replaced, and the label-level rank BFS.
+that the closure-pruned one replaced, the label-level rank BFS, and the
+induced cover pairs found by testing every ordered pair of labels, which
+``_induced_ids`` finds as each label's minimal labels above it.
 Last, the checks of the trusted paths: every structure the library
 builds through ``_from_ids`` is rebuilt through the validating public
 constructor and must come out with the same tables.  The search-based
@@ -23,9 +25,10 @@ that tests every pair of irreducibles for a cover, coloring them from the
 step tables, is the reference for the one-walk extraction.
 ``check_sublattice`` and ``j_components`` prove their facts locally;
 their references compare every pair's join and meet, and every pair's
-distances by a search per pair.  ``verify_distance_laws`` and
-``verify_product_closure`` compute each pair's bounds once; their
-references are the two-pass bodies they replaced.
+distances by a search per pair.  ``verify_distance_laws`` computes each
+pair's bounds once, and ``verify_product_closure`` proves the product's
+bounds componentwise on sibling covers; their references are the
+two-pass bodies they replaced.
 """
 
 import random
@@ -501,11 +504,23 @@ def subset_label_by_join(P, mask):
 def induced_cover_pairs(p, labels):
     """Cover pairs of the subposet of ``p`` on ``labels`` in the induced order, by testing every pair.
 
-    Unlike ``induced`` on edge-colored posets, a returned cover need not
-    be an edge of the parent.
+    Pairs come in (lower id, upper id) order, as ``_induced_ids`` gives
+    them.  Unlike ``induced`` on edge-colored posets, a returned cover need
+    not be an edge of the parent.
     """
-    _, pairs = p._induced_ids(labels)
-    return [(p.vertices[a], p.vertices[b]) for a, b in pairs]
+    ids = sorted(p.index_of(v) for v in set(labels))
+    up, down, pos = p._up, p._down, p._pos
+    sub_mask = 0
+    for i in ids:
+        sub_mask |= 1 << pos[i]
+    pairs = []
+    for a in ids:
+        for b in ids:
+            if a == b or not (down[b] >> pos[a] & 1):
+                continue
+            if up[a] & down[b] & sub_mask == (1 << pos[a]) | (1 << pos[b]):
+                pairs.append((p.vertices[a], p.vertices[b]))
+    return pairs
 
 
 def extract_by_induced_pairs(L, side):

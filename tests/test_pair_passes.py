@@ -1,10 +1,11 @@
-"""Each fact is computed once: one pair pass for Propositions 1 and 10, one map for the fundamental theorem.
+"""Each fact is computed once: one pair pass for Proposition 1, a local proof for 10, one map for the fundamental theorem.
 
 ``verify_distance_laws`` evaluates each pair's rank identity once, and
-``verify_product_closure`` each pair's componentwise join and meet once.
-Their two-pass bodies are kept in ``_oracles``; here both suites must give
-the same report, or stop with the same error, on the corpus, under
-hypothesis and on planted failures.  The fundamental theorem's map is
+``verify_product_closure`` compares the componentwise join and meet with
+the product's only on sibling covers, then decides K's closure by
+``check_sublattice``.  Their two-pass bodies are kept in ``_oracles``;
+here both suites must give the same report, or stop with the same error,
+on the corpus, under hypothesis and on planted failures.  The fundamental theorem's map is
 taken from the extraction walk, so a built lattice never builds its
 reachability bitsets.
 """
@@ -192,6 +193,39 @@ class TestProductClosure:
         files = [str(data_dir / "m3.dcp"), str(data_dir / "fig1L.dcp")]
         assert cli.main(["verify", files[0], "--theorem", "prop10", "--with", files[1]]) == 0
         assert built == [2]
+
+
+class TestProductClosureLocalProof:
+    """Componentwise bounds are compared with the product's on sibling covers only."""
+
+    @pytest.mark.parametrize("probe, siblings", [("_join_id", "_up_adj"), ("_meet_id", "_down_adj")])
+    def test_planted_wrong_factor_bound(self, monkeypatch, probe, siblings):
+        factor = m3()
+        a, b = getattr(factor, siblings)[factor.index_of("bot" if probe == "_join_id" else "top")][:2]
+        real = getattr(LatticeView, probe)
+
+        def wrong(self, i, k):
+            return i if self.poset is factor and {i, k} == {a, b} else real(self, i, k)
+
+        monkeypatch.setattr(LatticeView, probe, wrong)
+        factors = [factor, edge_chain(1)]
+        K = ProductView(factors).poset.vertices
+        new = result(verify_product_closure, factors, K)
+        assert new == result(verify_product_closure_two_pass, factors, K)
+        assert ("product joins and meets are componentwise", False) in new[1]
+
+    def test_fewer_probes_than_pairs(self, monkeypatch):
+        calls = []
+        for name in ("_join_id", "_meet_id"):
+            def counting(self, i, k, real=getattr(LatticeView, name)):
+                calls.append(1)
+                return real(self, i, k)
+
+            monkeypatch.setattr(LatticeView, name, counting)
+        factors = [boolean_lattice(4), boolean_lattice(4)]
+        assert verify_product_closure(factors, ProductView(factors).poset.vertices).passed
+        n = 16 * 16
+        assert len(calls) < n * (n - 1) // 2
 
 
 class TestFundamentalMap:

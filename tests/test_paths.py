@@ -42,10 +42,11 @@ from dclat import (
     random_poset,
     rank_via_path,
     valleyize,
+    verify_distance_laws,
     verify_path_colors,
     verify_path_colors_all,
 )
-from dclat import paths
+from dclat import lattice, paths
 from dclat.paths import _bfs
 from dclat.structures import EdgeColoredPoset
 from _oracles import diamond_by_labels, distance_by_pair_bfs, rank_assignments, rank_by_labels
@@ -206,6 +207,20 @@ class TestRankViaPath:
         seq = ["empty", "a0", "a0.a1", "a1", "a1.a2"]
         path = Path.from_vertices(b3, seq)
         assert rank_via_path(b3, path) == rf.rank["a1.a2"]
+
+    def test_reads_the_recorded_rank(self, monkeypatch):
+        """The sampled paths of ``verify_distance_laws`` reuse the rank the lattice view proved."""
+        calls = []
+
+        def counting(p, real=compute_rank):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(paths, "compute_rank", counting)
+        monkeypatch.setattr(lattice, "compute_rank", counting)
+        b9 = boolean_lattice(9)
+        assert verify_distance_laws(EdgeColoredPoset(b9.vertices, b9.covers)).passed  # no rank recorded yet
+        assert len(calls) <= 1
 
 
 class TestDiamondColoring:

@@ -16,6 +16,7 @@ from dclat import (
     ValidationError,
     VertexColoredPoset,
     boolean_lattice,
+    build_J,
     cartesian_product,
     disjoint_sum,
     dual,
@@ -30,6 +31,7 @@ from _oracles import (
     brute_isomorphism,
     closure_pairs,
     component_count,
+    induced_cover_pairs,
     product_by_pairs,
     reduce_relation_by_scan,
 )
@@ -258,6 +260,60 @@ class TestCartesianProduct:
                 prod = cartesian_product(a, b)
                 assert prod == ProductView([a, b]).poset == product_by_pairs(a, b)
                 assert emit(prod) == emit(product_by_pairs(a, b))
+
+
+def label_subsets(p, rng):
+    """The whole poset, the empty set, every singleton, then intervals, up-sets and down-sets
+    (convex) and random subsets (mostly not convex)."""
+    v = p.vertices
+    yield from (v, (), *((x,) for x in v))
+    for _ in range(6 if v else 0):
+        s, t = rng.choice(v), rng.choice(v)
+        yield from (p.up_set(s) & p.down_set(t), p.up_set(s), p.down_set(t))
+        yield [x for x in v if rng.random() < 0.5]
+
+
+class TestInducedCovers:
+    """``_induced_ids`` gives the covers the all-pairs oracle finds, in the same (lower id, upper id) order."""
+
+    def assert_same(self, p, labels):
+        labels = list(labels)
+        ids, pairs = p._induced_ids(labels)
+        expected = induced_cover_pairs(p, labels)
+        assert ids == sorted({p.index_of(x) for x in labels})
+        assert [(p.vertices[a], p.vertices[b]) for a, b in pairs] == expected
+        if isinstance(p, VertexColoredPoset):
+            assert p.induced(labels).covers == set(expected)
+            return
+        missing = [(a, b) for a, b in expected if not p.has_cover(a, b)]
+        if not missing:
+            assert p.induced(labels).covers == {(a, b, p.edge_color(a, b)) for a, b in expected}
+            return
+        with pytest.raises(ValidationError) as caught:
+            p.induced(labels)
+        a, b = missing[0]
+        assert str(caught.value) == f"induced cover {a!r} -> {b!r} is not an edge of the parent, so it has no color"
+
+    def test_fixtures(self, data_dir):
+        rng = random.Random(5)
+        for path in sorted(data_dir.glob("*.dcp")):
+            p = parse(path.read_text())
+            for labels in label_subsets(p, rng):
+                self.assert_same(p, labels)
+
+    def test_random_structures(self):
+        rng = random.Random(7)
+        posets = random_vertex_posets(12, 7, seed=9)
+        for p in posets + [build_J(P).lattice for P in posets if len(P) <= 6]:
+            for labels in label_subsets(p, rng):
+                self.assert_same(p, labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 6), st.floats(0.05, 0.95), st.integers(0, 10**6), st.booleans(), st.data())
+    def test_drawn_subsets(self, n, density, seed, lattice, data):
+        P = random_poset(n, density, seed)
+        p = build_J(P).lattice if lattice else P
+        self.assert_same(p, data.draw(st.lists(st.sampled_from(p.vertices)) if p.vertices else st.just([])))
 
 
 class TestSumProductLaws:
