@@ -34,9 +34,6 @@ from .structures import (
     recolor,
 )
 
-PROPS = ("ranked", "diamond", "balanced", "lattice", "modular", "distributive", "boolean")
-
-
 def _read(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -101,59 +98,48 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    structure = _load(args.file, EdgeColoredPoset)
-    prop = args.prop
-    if prop == "ranked":
-        try:
-            rf = paths.compute_rank(structure)
-        except DclatError as e:
-            print(f"not ranked: {e}")
-            return 1
-        print(f"ranked with length {rf.length}")
-        return 0
-    if prop == "diamond":
-        res = paths.check_diamond_colored(structure)
-        if not res.ok:
-            print(f"diamond coloring fails at {res.witness}")
-            return 1
-        print("diamond-colored")
-        return 0
-    if prop == "balanced":
-        res = paths.check_topographically_balanced(structure)
-        if not res.ok:
-            print(f"not topographically balanced: {res.witness}")
-            return 1
-        print("topographically balanced")
-        return 0
+def _ranked(S) -> tuple[bool, str]:
     try:
-        view = lattice.as_lattice(structure)
+        return True, f"ranked with length {paths.compute_rank(S).length}"
     except DclatError as e:
-        print(f"not a lattice: {e}")
-        return 1
-    if prop == "lattice":
-        print(f"lattice with minimum {view.minimum} and maximum {view.maximum}")
-        return 0
-    if prop == "modular":
-        if not lattice.is_modular(view):
-            bal = paths.check_topographically_balanced(structure)
-            print(f"not modular; balance witness: {bal.witness}")
+        return False, f"not ranked: {e}"
+
+
+def _said(res: paths.CheckResult, holds: str, fails: str) -> tuple[bool, str]:
+    """``res``'s verdict, with the line ``holds``, or else ``fails`` followed by the witness."""
+    return res.ok, holds if res.ok else f"{fails}{res.witness}"
+
+
+# property -> (whether the test takes the lattice view, which as_lattice gives
+# first, in place of FILE, and the test, which returns (holds, line printed))
+CHECKS = {
+    "ranked": (False, _ranked),
+    "diamond": (False, lambda S: _said(paths.check_diamond_colored(S), "diamond-colored",
+                                       "diamond coloring fails at ")),
+    "balanced": (False, lambda S: _said(paths.check_topographically_balanced(S), "topographically balanced",
+                                        "not topographically balanced: ")),
+    "lattice": (True, lambda L: (True, f"lattice with minimum {L.minimum} and maximum {L.maximum}")),
+    "modular": (True, lambda L: (True, "modular") if lattice.is_modular(L) else (
+        False, f"not modular; balance witness: {paths.check_topographically_balanced(L.poset).witness}")),
+    "distributive": (True, lambda L: _said(lattice.is_distributive(L), "distributive",
+                                            "not distributive: witness triple ")),
+    "boolean": (True, lambda L: (True, "Boolean lattice") if lattice.is_boolean(L) else (
+        False, "not a Boolean lattice")),
+}
+
+
+def _cmd_check(args) -> int:
+    on_view, test = CHECKS[args.prop]
+    subject = _load(args.file, EdgeColoredPoset)
+    if on_view:
+        try:
+            subject = lattice.as_lattice(subject)
+        except DclatError as e:
+            print(f"not a lattice: {e}")
             return 1
-        print("modular")
-        return 0
-    if prop == "distributive":
-        if not lattice.is_distributive_fast(view) and not (res := lattice.is_distributive(view)).ok:
-            print(f"not distributive: witness triple {res.witness}")
-            return 1
-        print("distributive")
-        return 0
-    if prop == "boolean":
-        if not lattice.is_boolean(view):
-            print("not a Boolean lattice")
-            return 1
-        print("Boolean lattice")
-        return 0
-    raise ValidationError(f"unknown property {prop!r}")
+    holds, line = test(subject)
+    print(line)
+    return 0 if holds else 1
 
 
 def _cmd_dist(args) -> int:
@@ -310,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check a property of an edge-lattice")
     p.add_argument("file")
-    p.add_argument("--prop", required=True, choices=PROPS)
+    p.add_argument("--prop", required=True, choices=CHECKS)
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("birkhoff", help="ideal/filter lattices and irreducible posets")

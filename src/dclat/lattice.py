@@ -197,8 +197,10 @@ class DistributivityWitness(NamedTuple):
 def is_distributive(L: LatticeView) -> CheckResult:
     """Both distributive identities, with the first failing triple as witness.
 
-    The witness is the first (r, s, t) in id order, r-major, at which
-    r v (s ^ t) = (r v s) ^ (r v t) (join-over-meet) or, at the same triple,
+    The count of ``_count_holds`` proves a distributive lattice so, and
+    the scan below runs only when the count fails.  The witness is the
+    first (r, s, t) in id order, r-major, at which r v (s ^ t) =
+    (r v s) ^ (r v t) (join-over-meet) or, at the same triple,
     r ^ (s v t) = (r ^ s) v (r ^ t) (meet-over-join) fails.  Each identity
     implies the other in a lattice; scanning both is a deliberate
     self-check of the bound probes.
@@ -230,7 +232,7 @@ def is_distributive(L: LatticeView) -> CheckResult:
     """
 
     def scan() -> CheckResult:
-        witness = _first_distributivity_failure(L)
+        witness = None if _count_holds(L) else _first_distributivity_failure(L)
         return CheckResult(witness is None, witness)
 
     return L.poset._verdict("distributive", scan)
@@ -301,16 +303,20 @@ def _first_distributivity_failure(L: LatticeView) -> DistributivityWitness | Non
             return DistributivityWitness(v[r], v[s], v[t], "meet-over-join")
 
 
-def is_distributive_fast(L: LatticeView) -> bool:
-    """Modular with exactly ``length`` join irreducibles.
+def _count_holds(L: LatticeView) -> bool:
+    """A finite modular lattice has at least ``length`` join irreducibles, with equality iff distributive."""
+    return is_modular(L) and len(L.join_irreducibles()) == L.length
 
-    A finite modular lattice has at least ``length`` join irreducibles,
-    with equality iff it is distributive.  Agrees with the triple scan
-    everywhere (tested).
+
+def is_distributive_fast(L: LatticeView) -> bool:
+    """The recorded ``distributive`` verdict, or else the count of ``_count_holds``.
+
+    A passing count is recorded; a failing one names no witness triple and
+    records nothing.  Agrees with the triple scan everywhere (tested).
     """
-    return L.poset._verdict(
-        "distributive_fast", lambda: is_modular(L) and len(L.join_irreducibles()) == L.length
-    )
+    if "distributive" not in L.poset._verdicts and not _count_holds(L):
+        return False
+    return L.poset._verdict("distributive", lambda: CheckResult(True, None)).ok
 
 
 def is_boolean(L: LatticeView) -> bool:
@@ -341,7 +347,7 @@ def _record_proved(p: EdgeColoredPoset, rank: dict[str, int], length: int, distr
     holds = CheckResult(True, None)
     p._verdicts.update(lattice=True, diamond=holds, balanced=holds, rank=RankFunction(rank, length))
     if distributive:
-        p._verdicts.update(distributive=holds, distributive_fast=True)
+        p._verdicts["distributive"] = holds
 
 
 def verify_distance_laws(L: EdgeColoredPoset, seed: int | None = None) -> Report:

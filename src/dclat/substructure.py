@@ -425,7 +425,7 @@ def _proved_component(lv: LatticeView, ids: list[int], J: frozenset[int]) -> Edg
     rank = lv.rank_function.rank
     low = min(rank[x] for x in sub.vertices)
     shifted = {x: rank[x] - low for x in sub.vertices}
-    _record_proved(sub, shifted, max(shifted.values()), bool(lv.poset._verdicts.get("distributive_fast")))
+    _record_proved(sub, shifted, max(shifted.values()), bool(lv.poset._verdicts.get("distributive")))
     return sub
 
 
@@ -461,14 +461,15 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
     minus r(min C); and d(x, y) = r(x) + r(y) - 2 r(x ^ y) gives the same
     distances in C as in L, as meets agree.
 
-    The bounds are always checked.  With ``verify``, step (1) is checked
-    for every J-colored sibling pair through L's own ``_join_id`` and
-    ``_meet_id``, and L's recorded rank minus the depth from min C along
-    J-colored edges must be constant, so a wrong probe or a wrong recorded
-    rank of L is caught.  A sibling pair that fails builds its component and
-    lets ``check_sublattice`` name the first pair whose bound differs; if
-    none differs, L's recorded verdicts were wrong, and the pair is named.
-    The tests check the extremes against ``subordinate_of``.
+    Every split is checked: the bounds; step (1), for every J-colored
+    sibling pair, through L's own ``_join_id`` and ``_meet_id``; and that
+    L's recorded rank minus the depth from min C along J-colored edges is
+    constant, so a wrong probe or a wrong recorded rank of L is caught.  A
+    sibling pair that fails builds its component and lets
+    ``check_sublattice`` name the first pair whose bound differs; if none
+    differs, L's recorded verdicts were wrong, and the pair is named.  The
+    tests check the extremes against ``subordinate_of``.  ``verify`` is
+    ignored; it stays for callers that pass ``verify=True``.
     """
     lv = _coerce_view(L)
     p = lv.poset
@@ -477,7 +478,7 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
     v, n = p.vertices, len(p)
     ups = [[j for j, c in steps if c in J] for steps in p._up_steps]
     downs = [[j for j, c in steps if c in J] for steps in p._down_steps]
-    rank = lv.rank_function.rank if verify else None
+    rank = lv.rank_function.rank
     seen, depth = [False] * n, [None] * n
     infos = []
     for start in range(n):
@@ -496,7 +497,7 @@ def j_components(L, colors: Iterable[int], verify: bool = True) -> JComponentDec
             raise ValidationError("color-restricted component is not bounded")
         info = ComponentInfo(tuple(v[i] for i in ids), partial(_proved_component, lv, ids, J), v[lows[0]], v[highs[0]])
         infos.append(info)
-        if not verify or len(ids) == 1:
+        if len(ids) == 1:
             continue
         for side, near, bound in (("join", ups, lv._join_id), ("meet", downs, lv._meet_id)):
             for i in ids:
@@ -524,16 +525,12 @@ def color_subsets(colors: Iterable[int]) -> Iterator[list[int]]:
     return ([c for i, c in enumerate(palette) if mask >> i & 1] for mask in range(1 << len(palette)))
 
 
-def verify_component_structure(L, colors: Iterable[int] | None = None) -> Report:
-    """Run the component decomposition, with verification, for color subsets.
-
-    When ``colors`` is None every subset of the color set is tried.
-    """
+def verify_component_structure(L) -> Report:
+    """Run the verified component decomposition for every subset of L's colors."""
     lv = _coerce_view(L)
     report = Report("color-restricted components are verified sublattices")
-    subsets = [list(colors)] if colors is not None else color_subsets(lv.poset.colors_used)
-    for J in subsets:
-        decomp = j_components(lv, J, verify=True)
+    for J in color_subsets(lv.poset.colors_used):
+        decomp = j_components(lv, J)
         total = sum(decomp.sizes())
         report.record(
             f"colors {sorted(J)}: {len(decomp.components)} components partition the lattice",
@@ -665,7 +662,7 @@ def verify_subordinate_correspondence(P: VertexColoredPoset, colors: Iterable[in
     # the capped definition search first, so input past its cap fails fast
     from_definition = subordinates_by_definition(P, J)
     il = build_J(P)
-    decomp = j_components(il, J, verify=True)
+    decomp = j_components(il, J)
     from_components = {subordinate_of(il, lab, J).vertex_set for lab in il.lattice.vertices}
     report.record("component subordinates match the definition search",
                   from_components == from_definition)

@@ -1,5 +1,9 @@
 """End-to-end command-line behaviour and the operation coverage table."""
 
+import functools
+import re
+import sys
+
 import pytest
 
 import dclat
@@ -438,7 +442,8 @@ class TestGoldenOutput:
 
 
 # Which operations each subcommand reaches; every public operation appears
-# exactly once.
+# exactly once, under a command that reaches it or else under LIBRARY_ONLY.
+LIBRARY_ONLY = "(library only)"
 COMMAND_OPERATIONS = {
     "parse": ["dcp.parse", "dcp.emit"],
     "render": ["dcp.render_dot"],
@@ -451,8 +456,6 @@ COMMAND_OPERATIONS = {
         "lattice.is_modular",
         "lattice.is_distributive",
         "lattice.is_boolean",
-        "LatticeView.join_all",
-        "LatticeView.meet_all",
     ],
     "dist": [
         "paths.distance",
@@ -467,8 +470,6 @@ COMMAND_OPERATIONS = {
     ],
     "components": [
         "substructure.j_components",
-        "EdgeColoredPoset.descendants",
-        "EdgeColoredPoset.ancestors",
     ],
     "subordinates": [
         "substructure.subordinate_of",
@@ -481,8 +482,6 @@ COMMAND_OPERATIONS = {
         "structures.cartesian_product",
     ],
     "verify": [
-        "isomorphism.find_isomorphism",
-        "isomorphism.isomorphic",
         "birkhoff.verify_fundamental",
         "birkhoff.verify_fundamental_poset",
         "birkhoff.is_birkhoff_representable",
@@ -493,6 +492,8 @@ COMMAND_OPERATIONS = {
         "birkhoff.ancestor_interval_boolean",
         "birkhoff.verify_interval_booleans",
         "LatticeView.interval",
+        "EdgeColoredPoset.descendants",
+        "EdgeColoredPoset.ancestors",
         "paths.rank_via_path",
         "paths.ascent_descent_counts",
         "paths.mountainize",
@@ -511,7 +512,53 @@ COMMAND_OPERATIONS = {
         "substructure.subordinates_by_definition",
         "substructure.verify_subordinate_correspondence",
     ],
+    LIBRARY_ONLY: [
+        "isomorphism.find_isomorphism",
+        "isomorphism.isomorphic",
+        "LatticeView.join_all",
+        "LatticeView.meet_all",
+    ],
 }
+
+# Invocations of each subcommand that reach, between them, every operation
+# listed for it; FILE arguments name fixtures under tests/data.
+COMMAND_INVOCATIONS = {
+    "parse": [["parse", "fig1L.dcp"]],
+    "render": [["render", "fig1P.dcp"]],
+    "gen": [["gen", "--kind", "random", "-n", "5", "-p", "0.5", "--seed", "1"]],
+    "check": [["check", "m3xb3.dcp", "--prop", prop] for prop in cli.CHECKS],
+    "dist": [["dist", "fig1L.dcp", "--from", "v5", "--to", "v2.v5.v6"]],
+    "birkhoff": [["birkhoff", "fig1P.dcp", "--op", "J"], ["birkhoff", "fig1P.dcp", "--op", "M"],
+                 ["birkhoff", "fig1L.dcp", "--op", "j"], ["birkhoff", "fig1L.dcp", "--op", "m"]],
+    "components": [["components", "fig1L.dcp", "--colors", "1"]],
+    "subordinates": [["subordinates", "fig1P.dcp", "--colors", "1,2"]],
+    "transform": [["transform", "fig1L.dcp", "--op", op] for op in ("dual", "recolor:1=2,2=1,3=3", "product:m3.dcp")]
+    + [["transform", "m3.dcp", "--op", "sum:m3.dcp"]],
+    "verify": [["verify", "fig1P.dcp", "--theorem", theorem] for theorem in ("ft", "thm11", "subord")]
+    + [["verify", "fig1L.dcp", "--theorem", theorem] for theorem in ("ft", "cor7", "prop1", "prop3", "prop12", "prop13")]
+    + [["verify", "fig1P.dcp", "--theorem", "cor8", "--with", "fig5Q.dcp"],
+       ["verify", "m3.dcp", "--theorem", "prop10", "--with", "fig1L.dcp"]],
+}
+
+
+def _wrap_where_looked_up(monkeypatch, op: str, called: set) -> None:
+    """Replace ``op`` by a wrapper that adds it to ``called``, in its class or in every
+    dclat module that binds it, since ``cli`` imports names such as ``dual`` directly."""
+    owner, name = op.split(".")
+    if owner[0].isupper():
+        homes = [getattr(dclat, owner)]
+    else:
+        real = getattr(getattr(dclat, owner), name)
+        homes = [m for key, m in sys.modules.items() if key.startswith("dclat.") and vars(m).get(name) is real]
+    real = getattr(homes[0], name)
+
+    @functools.wraps(real)
+    def wrapper(*args, **kwargs):
+        called.add(op)
+        return real(*args, **kwargs)
+
+    for home in homes:
+        monkeypatch.setattr(home, name, wrapper)
 
 
 class TestCoverageTable:
@@ -553,6 +600,20 @@ class TestCoverageTable:
 
     def test_commands_all_registered(self):
         parser = cli._build_parser()
-        registered = set(COMMAND_OPERATIONS)
+        registered = set(COMMAND_OPERATIONS) - {LIBRARY_ONLY}
         actions = parser._subparsers._group_actions[0].choices
         assert registered == set(actions)
+
+    @pytest.mark.parametrize("command", sorted(COMMAND_INVOCATIONS))
+    def test_each_command_reaches_its_operations(self, capsys, monkeypatch, data_dir, command):
+        """The operations listed under a command are called by its invocations, and no
+        invocation of any command calls a library-only one."""
+        called = set()
+        for op in COMMAND_OPERATIONS[command] + COMMAND_OPERATIONS[LIBRARY_ONLY]:
+            _wrap_where_looked_up(monkeypatch, op, called)
+        for argv in COMMAND_INVOCATIONS[command]:
+            argv = [re.sub(r"\w+\.dcp", lambda m: str(data_dir / m[0]), a) for a in argv]
+            assert main(argv) in (0, 1), argv
+        capsys.readouterr()
+        assert sorted(set(COMMAND_OPERATIONS[command]) - called) == []
+        assert sorted(called & set(COMMAND_OPERATIONS[LIBRARY_ONLY])) == []

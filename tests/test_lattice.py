@@ -20,6 +20,7 @@ from corpus import (
 )
 from dclat import (
     EdgeColoredPoset,
+    GeneratorSpec,
     IncomparableEndpoints,
     NotALattice,
     antichain_poset,
@@ -27,6 +28,7 @@ from dclat import (
     boolean_lattice,
     build_J,
     cartesian_product,
+    generate,
     is_boolean,
     is_distributive,
     is_distributive_fast,
@@ -254,6 +256,73 @@ class TestDistributive:
             assert is_distributive_fast(view) == is_distributive(view).ok
 
 
+def _assert_one_verdict(L: EdgeColoredPoset):
+    """``is_distributive`` names the triple scan's result and runs its own scan only when the count
+    fails; ``is_distributive_fast``, asked before or after, agrees and records only a passing count.
+
+    Each view is a fresh copy, so no verdict is carried in from L's construction.
+    """
+
+    def fresh():
+        return as_lattice(EdgeColoredPoset(list(L.vertices), list(L.covers)))
+
+    expected = distributivity_failure_by_triples(fresh())
+    scans, scan = [], lattice_module._first_distributivity_failure
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice_module, "_first_distributivity_failure", lambda view: scans.append(view) or scan(view))
+        first, second = fresh(), fresh()
+        fast = is_distributive_fast(first)
+        assert fast is ("distributive" in first.poset._verdicts) is (expected is None)
+        assert is_distributive(first) == is_distributive(second) == CheckResult(expected is None, expected)
+        assert is_distributive_fast(second) is fast
+    assert len(scans) == (0 if expected is None else 2)
+    return expected
+
+
+class TestOneDistributivityVerdict:
+    """The count proves distributivity and the witness scan runs only when it fails."""
+
+    def test_corpus(self, data_dir):
+        fixtures = [parse(path.read_text()) for path in sorted(data_dir.glob("*.dcp"))]
+        corpus = (
+            [L for L in fixtures if isinstance(L, EdgeColoredPoset)]
+            + random_lattices(40, seed=31)
+            + random_modular_lattices(20, 30, seed=31)
+            + random_distributive_lattices(20, 30, seed=31)
+        )
+        witnesses = [_assert_one_verdict(L) for L in corpus]
+        assert sum(w is None for w in witnesses) >= 20 and sum(w is not None for w in witnesses) >= 20
+
+    def test_planted_failures(self):
+        """M3, N5, the hexagon, M3 x B3, and chain x M3 in both orders for chains of n <= 30 covers."""
+        planted = [m3(), n5(), hexagon(), cartesian_product(m3(), boolean_lattice(3))]
+        for n in (1, 2, 5, 30):
+            planted += [cartesian_product(edge_chain(n), m3()), cartesian_product(m3(), edge_chain(n))]
+        for L in planted:
+            assert _assert_one_verdict(L) is not None
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.sampled_from([m3, n5, hexagon, lambda: edge_chain(2)]), st.booleans())
+    def test_random_lattices_and_products(self, seed, factor, factor_first):
+        for L in random_lattices(6, seed=seed)[4:] + random_distributive_lattices(2, 12, seed=seed):
+            _assert_one_verdict(L)
+            _assert_one_verdict(cartesian_product(factor(), L) if factor_first else cartesian_product(L, factor()))
+
+    def test_distributive_input_is_not_scanned(self, monkeypatch):
+        """Read back from DCP, so no verdict is recorded: B_k, random ideal lattices and a 402-element chain."""
+
+        def unexpected(view):
+            raise AssertionError("the witness scan ran on a distributive lattice")
+
+        # dclat gen --kind chain -n 400 | dclat birkhoff - --op J
+        chain = build_J(generate(GeneratorSpec("chain", 400))).lattice
+        corpus = [parse(emit(L)) for L in [chain, boolean_lattice(8)] + random_distributive_lattices(20, 200, seed=41)]
+        assert len(corpus[0]) == 402
+        monkeypatch.setattr(lattice_module, "_first_distributivity_failure", unexpected)
+        for L in corpus:
+            assert is_distributive(as_lattice(L)) == CheckResult(True, None)
+
+
 def _assert_witness_matches_triples(L):
     witness = is_distributive(as_lattice(L)).witness
     assert witness == distributivity_failure_by_triples(as_lattice(L))
@@ -383,7 +452,7 @@ class TestPrunedWitnessMatchesRByR:
         for k in (6, 10):
             L = parse(emit(build_J(antichain_poset(k)).lattice))
             rows = _count_rows(monkeypatch)
-            assert is_distributive(as_lattice(L)).ok
+            assert lattice_module._first_distributivity_failure(as_lattice(L)) is None
             assert rows["built"] == 2 * k + 2
             monkeypatch.undo()
 

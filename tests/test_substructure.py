@@ -404,7 +404,7 @@ class TestSubordinates:
             palette = sorted(P.colors_used)
             for mask in range(1 << len(palette)):
                 J = [palette[i] for i in range(len(palette)) if (mask >> i) & 1]
-                for comp in j_components(view, J, verify=False).components:
+                for comp in j_components(view, J).components:
                     for lab in comp.labels:
                         sub = subordinate_of(il, lab, J)
                         assert sub.witness_ideal == il.members(comp.minimum)

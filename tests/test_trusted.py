@@ -74,7 +74,7 @@ def derive_everything(P: VertexColoredPoset, Q: VertexColoredPoset) -> None:
     palette = sorted(JP.lattice.colors_used)
     for k in range(len(palette) + 1):
         for colors in combinations(palette, k):
-            for comp in j_components(JP, colors, verify=False).components:
+            for comp in j_components(JP, colors).components:
                 comp.poset  # built on first read
 
 
@@ -166,7 +166,7 @@ class TestBornVerdicts:
     verdict store starts empty, so every verdict compared is proved afresh.
     """
 
-    BORN = {"lattice", "diamond", "balanced", "distributive", "distributive_fast", "rank"}
+    BORN = {"lattice", "diamond", "balanced", "distributive", "rank"}
 
     @staticmethod
     def posets(data_dir):
@@ -192,7 +192,7 @@ class TestBornVerdicts:
         assert is_modular(fresh) is True
         if "distributive" in keys:
             assert born["distributive"] == is_distributive(fresh) == CheckResult(True, None)
-            assert born["distributive_fast"] is is_distributive_fast(fresh) is True
+            assert born["distributive"].ok is is_distributive_fast(fresh) is True
             if len(L) <= 40:
                 assert distributivity_failure_by_triples(fresh) is None
 
@@ -228,10 +228,10 @@ class TestBornVerdicts:
         parents = [build_J(P).view for P in self.posets(data_dir)[:12]]
         parents += [as_lattice(parse((data_dir / name).read_text())) for name in ("m3.dcp", "m3xb3.dcp", "fig1L.dcp")]
         for view in parents:
-            distributive = view.poset._verdicts.get("distributive_fast")
-            keys = self.BORN if distributive else self.BORN - {"distributive", "distributive_fast"}
+            distributive = view.poset._verdicts.get("distributive")
+            keys = self.BORN if distributive else self.BORN - {"distributive"}
             for J in color_subsets(view.poset.colors_used):
-                for comp in j_components(view, J, verify=False).components:
+                for comp in j_components(view, J).components:
                     self.assert_store_equals_the_scans(comp.poset, keys)
 
     def test_extraction_from_built_lattices_scans_nothing(self, fig_poset, monkeypatch):
