@@ -96,10 +96,12 @@ class IdealLattice:
         self.label_of_mask = {m: v for v, m in self.mask_of_label.items()}
 
     def members(self, label: str) -> frozenset[str]:
+        return frozenset(self.source.vertices[i] for i in _bits(self._mask(label)))
+
+    def _mask(self, label: str) -> int:
         if label not in self.mask_of_label:
             raise UnknownVertex(f"unknown element {label!r}")
-        m = self.mask_of_label[label]
-        return frozenset(self.source.vertices[i] for i in _bits(m))
+        return self.mask_of_label[label]
 
     def label_for(self, subset: Iterable[str]) -> str:
         subset = list(subset)  # read twice, once by the error message
@@ -309,7 +311,7 @@ def cover_color_profile(il: IdealLattice, x: str) -> tuple[tuple[Color, ...], tu
     both are compared against the incident Hasse edges before returning.
     """
     P = il.source
-    m = il.mask_of_label[x] if x in il.mask_of_label else il.mask_of_label[il.label_for([x])]
+    m = il._mask(x)
     down, up = P._cover_masks
     # an ideal drops a maximal vertex going down and adds one going up; a
     # filter drops a minimal vertex going up and adds one going down
@@ -319,12 +321,11 @@ def cover_color_profile(il: IdealLattice, x: str) -> tuple[tuple[Color, ...], tu
     down_ids, up_ids = (removable, addable) if il.mode == "ideal" else (addable, removable)
     down_colors = tuple(sorted(P.colors[P.vertices[i]] for i in down_ids))
     up_colors = tuple(sorted(P.colors[P.vertices[i]] for i in up_ids))
-    lab = il.label_of_mask[m]
-    edge_down = tuple(sorted(c for _, c in il.lattice.down_steps(lab)))
-    edge_up = tuple(sorted(c for _, c in il.lattice.up_steps(lab)))
+    edge_down = tuple(sorted(c for _, c in il.lattice.down_steps(x)))
+    edge_up = tuple(sorted(c for _, c in il.lattice.up_steps(x)))
     if edge_down != down_colors or edge_up != up_colors:
         raise ValidationError(
-            f"cover color profile of {lab!r} disagrees with incident edges"
+            f"cover color profile of {x!r} disagrees with incident edges"
         )
     return up_colors, down_colors
 

@@ -71,11 +71,6 @@ def _joint_refine(ga: _Graph, gb: _Graph):
     return la, lb
 
 
-def _invert(key: tuple[str, int]) -> tuple[str, int]:
-    d, c = key
-    return ("d" if d == "u" else "u", c)
-
-
 def find_isomorphism(a: Structure, b: Structure) -> dict[str, str] | None:
     """A color- and edge-preserving bijection from a to b, or None.
 
@@ -116,14 +111,6 @@ def find_isomorphism(a: Structure, b: Structure) -> dict[str, str] | None:
                 best, best_size = i, size
         return best
 
-    def consistent(i: int, j: int) -> bool:
-        # every already-mapped neighbour of i must relate to j the same way
-        for other, key in ga.adj[i]:
-            m = mapping[other]
-            if m != -1 and j not in gb.nbrs[m].get(_invert(key), frozenset()):
-                return False
-        return True
-
     def prune(i: int, j: int) -> bool:
         # forward-check: shrink unmapped neighbours of i to neighbours of j
         changes = []
@@ -156,7 +143,9 @@ def find_isomorphism(a: Structure, b: Structure) -> dict[str, str] | None:
             undo()
             used.discard(mapping[i])
             mapping[i] = -1
-        j = next((j for j in candidates if consistent(i, j)), -1)
+        # no candidate needs a check against i's mapped neighbours: each of them
+        # pruned live[i], which the candidates came from, to its image's neighbours
+        j = next(candidates, -1)
         if j == -1:
             stack.pop()
             continue

@@ -16,8 +16,8 @@ balanced, and a modular lattice is distributive iff it has exactly
 from __future__ import annotations
 
 import random
-from functools import partial, reduce
-from typing import Callable, Iterable, NamedTuple
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import paths
 from .errors import DclatError, IncomparableEndpoints, NotALattice, NotModular
@@ -69,14 +69,6 @@ class LatticeView:
     def meet(self, x: str, y: str) -> str:
         p = self.poset
         return p.vertices[self._meet_id(p.index_of(x), p.index_of(y))]
-
-    def join_all(self, elements: Iterable[str]) -> str:
-        """Join of a set; the empty join is the minimum."""
-        return reduce(self.join, elements, self.minimum)
-
-    def meet_all(self, elements: Iterable[str]) -> str:
-        """Meet of a set; the empty meet is the maximum."""
-        return reduce(self.meet, elements, self.maximum)
 
     # -- rank ------------------------------------------------------------
 

@@ -112,15 +112,6 @@ class RankFunction:
     rank: dict[str, int]
     length: int
 
-    def validate(self, poset: _HasseCore) -> None:
-        values = set(self.rank.values())
-        if values != set(range(self.length + 1)):
-            raise NotRanked("rank image is not 0..length")
-        for v in poset.vertices:
-            for w in poset.ancestors(v):
-                if self.rank[w] != self.rank[v] + 1:
-                    raise NotRanked(f"cover {v!r} -> {w!r} does not raise rank by one")
-
 
 def ascent_descent_counts(path: Path) -> dict[Color, tuple[int, int]]:
     """Per color: (ascending step count, descending step count)."""

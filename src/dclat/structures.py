@@ -297,27 +297,6 @@ class _HasseCore:
             pairs.extend((a, b) for b in sorted(covers))
         return ids, pairs
 
-    def connected_components(self) -> tuple[tuple[str, ...], ...]:
-        """Components of the underlying undirected Hasse graph, by min id."""
-        n = len(self.vertices)
-        seen = [False] * n
-        out = []
-        for start in range(n):
-            if seen[start]:
-                continue
-            comp = []
-            stack = [start]
-            seen[start] = True
-            while stack:
-                i = stack.pop()
-                comp.append(i)
-                for j in self._up_adj[i] + self._down_adj[i]:
-                    if not seen[j]:
-                        seen[j] = True
-                        stack.append(j)
-            out.append(tuple(self.vertices[i] for i in sorted(comp)))
-        return tuple(out)
-
     # -- operations shared by both kinds -----------------------------------
     # Each kind's ``_args(color=None, flip=False, shift=0)`` returns the
     # arguments of its ``_from_ids`` after the vertices: covers as ids moved
@@ -374,10 +353,6 @@ class VertexColoredPoset(_HasseCore):
     def covers(self) -> frozenset[tuple[str, str]]:
         v = self.vertices
         return frozenset((v[a], v[b]) for a, b in self._cover_pairs)
-
-    def color_of(self, v: str) -> Color:
-        self.index_of(v)
-        return self.colors[v]
 
     @property
     def colors_used(self) -> frozenset[Color]:

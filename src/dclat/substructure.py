@@ -552,8 +552,8 @@ class JSubordinate:
     witness_ideal: frozenset[str]
 
 
-def subordinate_of(il: IdealLattice, t, colors: Iterable[int]) -> JSubordinate:
-    """The subordinate attached to the component of element t.
+def subordinate_of(il: IdealLattice, t: str, colors: Iterable[int]) -> JSubordinate:
+    """The subordinate attached to the component of the element labelled t.
 
     Greedy peeling removes designated-color maximal vertices from t, giving
     the witness ideal, and adds addable designated-color vertices, giving
@@ -565,11 +565,7 @@ def subordinate_of(il: IdealLattice, t, colors: Iterable[int]) -> JSubordinate:
         raise ValidationError("subordinates are computed on ideal lattices")
     P = il.source
     J = frozenset(colors)
-    if isinstance(t, str) and t in il.mask_of_label:
-        t_label = t
-    else:
-        t_label = il.label_for(t if not isinstance(t, str) else [t])
-    t_mask = il.mask_of_label[t_label]
+    t_mask = il._mask(t)
     down, up = P._cover_masks
     color_of = [P.colors[v] for v in P.vertices]
 

@@ -34,6 +34,7 @@ two-pass bodies they replaced.
 import random
 from collections import deque
 from contextlib import contextmanager
+from functools import reduce
 from itertools import permutations
 
 from dclat import (
@@ -98,8 +99,8 @@ def brute_isomorphism(a, b):
     return None
 
 
-def component_count(vertices, edges):
-    """Union-find over undirected edges."""
+def components(vertices, edges):
+    """Union-find over undirected edges; members in ``vertices`` order, components by first member."""
     parent = {v: v for v in vertices}
 
     def find(x):
@@ -112,7 +113,14 @@ def component_count(vertices, edges):
         ra, rb = find(a), find(b)
         if ra != rb:
             parent[ra] = rb
-    return len({find(v) for v in vertices})
+    groups = {}
+    for v in vertices:
+        groups.setdefault(find(v), []).append(v)
+    return [tuple(g) for g in groups.values()]
+
+
+def component_count(vertices, edges):
+    return len(components(vertices, edges))
 
 
 def count_ideals(vertices, cover_pairs):
@@ -429,7 +437,7 @@ def rank_by_labels(p):
     """Rank by a label-level BFS from the first vertex, then a pass over every cover."""
     if len(p) == 0:
         raise NotConnected("empty poset has no rank function")
-    if len(p.connected_components()) > 1:
+    if component_count(p.vertices, [c[:2] for c in p.covers]) > 1:
         raise NotConnected("rank functions are only unique on connected posets")
     level = {p.vertices[0]: 0}
     queue = deque([p.vertices[0]])
@@ -678,7 +686,7 @@ def j_components_by_pair_bfs(L, colors):
     restricted = EdgeColoredPoset(p.vertices, [(a, b, c) for a, b, c in p.covers if c in J])
     infos = []
     distributive_parent = is_distributive_fast(lv)
-    for labels in restricted.connected_components():
+    for labels in components(restricted.vertices, [c[:2] for c in restricted.covers]):
         sub = restricted.induced(labels)
         mins, maxs = sub.minimal_elements(), sub.maximal_elements()
         if len(mins) != 1 or len(maxs) != 1:
@@ -710,10 +718,10 @@ def interval_boolean_by_search(L, t, S, side):
     colors = {s: p.edge_color(s, t) if below else p.edge_color(t, s) for s in S}
     antichain = VertexColoredPoset(sorted(S, key=p.index_of), [], colors)
     if below:
-        bound = view.meet_all(S)
+        bound = reduce(view.meet, S, view.maximum)
         inner, subset_lattice = view.interval(bound, t), b.build_M(antichain)
     else:
-        bound = view.join_all(S)
+        bound = reduce(view.join, S, view.minimum)
         inner, subset_lattice = view.interval(t, bound), b.build_J(antichain)
     matches = find_isomorphism(inner, subset_lattice.lattice) is not None
     contains = set(S) <= set(inner.vertices)

@@ -1,6 +1,7 @@
 """Ideal/filter lattices, irreducibles, roundtrips, and interval results."""
 
 import random
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -387,7 +388,7 @@ class TestIntervalBoolean:
             desc = p.descendants(t)
             for size in (1, 2):
                 for D in combinations(desc, size):
-                    r = fig_view.meet_all(D)
+                    r = reduce(fig_view.meet, D, fig_view.maximum)
                     anti = VertexColoredPoset(
                         sorted(D, key=p.index_of), [], {s: p.edge_color(s, t) for s in D}
                     )

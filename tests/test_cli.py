@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour and the operation coverage table."""
 
 import functools
+import pathlib
 import re
 import sys
 
@@ -73,6 +74,19 @@ class TestExitCodes:
         ]:
             code, out, err = run(capsys, "gen", *argv)
             assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["render", "fig1L.dcp", "--format", "svg"], "unknown render format 'svg'"),
+            (["transform", "fig1L.dcp", "--op", "spin"], "unknown transform 'spin'"),
+            (["transform", "fig1P.dcp", "--op", "product:m3.dcp"], "product requires edge-lattice inputs"),
+            (["transform", "fig1L.dcp", "--op", "recolor:1"], "bad recoloring entry '1', expected OLD=NEW"),
+        ],
+    )
+    def test_bad_format_or_op_is_2(self, capsys, data_dir, argv, message):
+        argv = [re.sub(r"\w+\.dcp", lambda m: str(data_dir / m[0]), a) for a in argv]
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
     def test_partial_recoloring_is_2(self, capsys, data_dir):
         code, out, err = run(capsys, "transform", str(data_dir / "m3.dcp"), "--op", "recolor:2=3")
@@ -372,6 +386,7 @@ class TestGoldenOutput:
             (["birkhoff", "fig1L.dcp", "--op", "j"], "birkhoff-j-fig1L.out", 0),
             (["birkhoff", "fig1L.dcp", "--op", "m"], "birkhoff-m-fig1L.out", 0),
             (["check", "n5.dcp", "--prop", "balanced"], "check-balanced-n5.out", 1),
+            (["check", "n5.dcp", "--prop", "ranked"], "check-ranked-n5.out", 1),
             (["check", "m3.dcp", "--prop", "balanced"], "check-balanced-m3.out", 0),
             (["components", "fig1L.dcp", "--colors", "2"], "components-2-fig1L.out", 0),
             (["components", "fig1L.dcp", "--colors", "1"], "components-1-fig1L.out", 0),
@@ -427,6 +442,8 @@ class TestGoldenOutput:
             (["verify", "fig1L.dcp", "--theorem", "prop3"], "verify-prop3-fig1L.out", 0),
             (["dist", "fig1L.dcp", "--from", "empty", "--to", "v1.v2.v3.v4.v5.v6"], "dist-empty-top-fig1L.out", 0),
             (["dist", "fig1L.dcp", "--from", "v5", "--to", "v2.v5.v6"], "dist-v5-v2.v5.v6-fig1L.out", 0),
+            # not a lattice, so only the graph distance is printed
+            (["dist", "nonlattice/vee.dcp", "--from", "a", "--to", "b"], "dist-a-b-vee.out", 0),
         ],
     )
     def test_matches_golden(self, capsys, data_dir, argv, golden, exit_code):
@@ -515,8 +532,6 @@ COMMAND_OPERATIONS = {
     LIBRARY_ONLY: [
         "isomorphism.find_isomorphism",
         "isomorphism.isomorphic",
-        "LatticeView.join_all",
-        "LatticeView.meet_all",
     ],
 }
 
@@ -597,6 +612,13 @@ class TestCoverageTable:
             for name in names
         }
         assert public_ops <= set(listed)
+
+    def test_library_only_operations_are_named_outside_the_tests(self):
+        """Each library-only name appears in a script or benchmark, so it has a caller besides the tests."""
+        root = pathlib.Path(__file__).parents[1]
+        source = "".join(f.read_text(encoding="utf-8") for d in ("scripts", "perfbench") for f in (root / d).glob("*.py"))
+        unnamed = [op for op in COMMAND_OPERATIONS[LIBRARY_ONLY] if not re.search(rf"\b{op.rpartition('.')[2]}\b", source)]
+        assert unnamed == []
 
     def test_commands_all_registered(self):
         parser = cli._build_parser()

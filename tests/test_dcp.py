@@ -213,6 +213,12 @@ class TestEmit:
         out = parse(text)
         assert len(out) == 4 and parse(emit(out)) == out
 
+    def test_sanitized_label_collision_gets_a_suffix(self):
+        p = EdgeColoredPoset(["x.y", "(x,y)"], [("x.y", "(x,y)", 1)])
+        text = emit(p)
+        assert "vertex x.y\n" in text and "vertex x.y_2\n" in text
+        assert parse(text) == p.relabel({"x.y": "x.y", "(x,y)": "x.y_2"})
+
     def test_dual_labels_are_sanitized(self, fig_lattice):
         text = emit(dual(fig_lattice))
         assert parse(text) is not None

@@ -131,16 +131,6 @@ class TestRank:
         assignments = rank_assignments(p.vertices, [(a, b) for a, b, _ in p.covers], len(p))
         assert assignments == [rf.rank]
 
-    def test_validate_rejects_perturbation(self):
-        p = edge_chain(3)
-        rf = compute_rank(p)
-        from dclat import RankFunction
-
-        broken = dict(rf.rank)
-        broken["c2"] += 1
-        with pytest.raises(NotRanked):
-            RankFunction(broken, rf.length).validate(p)
-
 
 def _rank_outcome(compute, p):
     try:
@@ -427,6 +417,28 @@ class TestRewrites:
         assert up.vertex_sequence() == ("a0", "a0.a1", "a1")
         assert down.vertex_sequence() == ("a0", "empty", "a1")
         assert reads == ["a0", "a1", "a0", "a1"]
+
+    @pytest.mark.parametrize(
+        "rewrite,walk,expected",
+        [
+            # the turn's closing cover is the vertex after next, so the two before it go
+            (valleyize, ["a0", "a0.a1", "a1", "empty"], ("a0", "empty")),
+            (mountainize, ["a1", "empty", "a0", "a0.a1"], ("a1", "a0.a1")),
+            # the closing cover is the vertex before last, so the turn and its predecessor go
+            (valleyize, ["empty", "a0", "a0.a1", "a1"], ("empty", "a1")),
+            (mountainize, ["a0.a1", "a1", "empty", "a0"], ("a0.a1", "a0")),
+            # a walk that revisits a vertex loses the loop before any rewrite
+            (mountainize, ["a0", "a0.a1", "a0", "empty", "a1"], ("a0", "a0.a1", "a1")),
+        ],
+    )
+    def test_shortcuts_in_b2(self, rewrite, walk, expected):
+        b2 = boolean_lattice(2)
+        path = Path.from_vertices(b2, walk)
+        out = rewrite(as_lattice(b2), path)
+        assert out.vertex_sequence() == expected
+        assert (out.start, out.end) == (path.start, path.end)
+        assert out.length <= path.length
+        assert (out.apex() if rewrite is mountainize else out.nadir()) is not None
 
 
 def _shortest_walk(L, s, t, rng):

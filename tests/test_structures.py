@@ -31,6 +31,7 @@ from _oracles import (
     brute_isomorphism,
     closure_pairs,
     component_count,
+    components,
     induced_cover_pairs,
     product_by_pairs,
     reduce_relation_by_scan,
@@ -71,7 +72,7 @@ class TestConstruction:
 
     def test_empty_poset_allowed(self):
         p = VertexColoredPoset([], [], {})
-        assert len(p) == 0 and p.connected_components() == ()
+        assert len(p) == 0 and components(p.vertices, p.covers) == []
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
@@ -205,7 +206,7 @@ class TestDisjointSum:
         assert len(s) == 5
         edges = [(x, y) for x, y, _ in s.covers]
         assert component_count(s.vertices, edges) == 2
-        assert sorted(len(c) for c in s.connected_components()) == [2, 3]
+        assert sorted(len(c) for c in components(s.vertices, edges)) == [2, 3]
 
     def test_reassembled_components(self, fig_view):
         from dclat import j_components
@@ -215,7 +216,7 @@ class TestDisjointSum:
         for comp in comps[1:]:
             total = disjoint_sum(total, comp.poset)
         assert len(total) == 15
-        assert sorted(len(c) for c in total.connected_components()) == [2, 3, 4, 6]
+        assert sorted(len(c) for c in components(total.vertices, [c[:2] for c in total.covers])) == [2, 3, 4, 6]
 
     def test_kind_mismatch(self, fig_poset, fig_lattice):
         with pytest.raises(ValidationError):
