@@ -450,6 +450,7 @@ def verify_path_colors_all(L) -> list[PathColorReport]:
     if pairs > COMPARABLE_PAIR_CAP:
         raise EnumerationCapExceeded(f"{pairs} comparable pairs exceed cap {COMPARABLE_PAIR_CAP}")
     _require_diamond_modular(L)
+    v, ordered = p.vertices, []
     for si in range(len(p)):
         counts = {}  # paths from si up to each id, filled in topological order
         for pos in _bits(p._up[si]):
@@ -457,4 +458,5 @@ def verify_path_colors_all(L) -> list[PathColorReport]:
             counts[i] = 1 if i == si else sum(counts.get(j, 0) for j in p._down_adj[i])
         for ti in sorted(counts):
             _require_path_caps(counts[ti])
-    return [verify_path_colors(L, s, t) for s in p.vertices for t in p.vertices if p.leq(s, t)]
+            ordered.append((v[si], v[ti]))
+    return [verify_path_colors(L, s, t) for s, t in ordered]

@@ -311,6 +311,11 @@ def weak_subposet_from_sublattice(L, K) -> SubposetRecovery:
     color-preserving monotone bijection between the irreducible posets, and
     transporting the sub-order along it lands inside the parent order.
     When the map is found, the report's ``details["recovered"]`` is the recovered order.
+
+    The element of K above x that comes first in L's topological order is
+    minimal there, so the minimum is unique iff it lies below all the
+    others.  Monotonicity and the transported relation are taken on Q's
+    covers only: the order is their transitive closure.
     """
     lv = _coerce_view(L)
     kv = _coerce_view(K)
@@ -326,13 +331,16 @@ def weak_subposet_from_sublattice(L, K) -> SubposetRecovery:
     phi: dict[str, str] = {}
     ok_unique = True
     ok_irr = True
+    lp = lv.poset
+    down, pos = lp._down, lp._pos
+    k_ids = sorted((lp._index[y] for y in kv.poset.vertices), key=pos.__getitem__)  # in L's topological order
     for x in Q.vertices:
-        above = [y for y in kv.poset.vertices if lv.leq(x, y)]
-        minimal = [y for y in above if not any(z != y and lv.leq(z, y) for z in above)]
-        if len(minimal) != 1:
+        x_bit = pos[lp._index[x]]
+        above = [y for y in k_ids if down[y] >> x_bit & 1]
+        if not above or not all(down[y] >> pos[above[0]] & 1 for y in above):
             ok_unique = False
             break
-        w = minimal[0]
+        w = lp.vertices[above[0]]
         if w not in Pp._index:
             ok_irr = False
             break
@@ -345,15 +353,8 @@ def weak_subposet_from_sublattice(L, K) -> SubposetRecovery:
                   sorted(phi.values()) == sorted(Pp.vertices))
     report.record("the map preserves vertex colors",
                   all(Q.colors[x] == Pp.colors[w] for x, w in phi.items()))
-    monotone = all(
-        Pp.leq(phi[u], phi[v])
-        for u in Q.vertices
-        for v in Q.vertices
-        if Q.leq(u, v)
-    )
-    report.record("the map is monotone into the recovered order", monotone)
-
-    relation = [(phi[u], phi[v]) for u in Q.vertices for v in Q.vertices if u != v and Q.leq(u, v)]
+    relation = [(phi[u], phi[v]) for u, v in Q.covers]
+    report.record("the map is monotone into the recovered order", all(Pp.leq(a, b) for a, b in relation))
     recovered = weak_subposet(Pp, relation)
     # on a bijective phi, carrying Q's order onto the recovered one is what makes phi an isomorphism
     transported = _verify_witness(Q, recovered, phi)
@@ -557,35 +558,30 @@ def subordinate_of(il: IdealLattice, t: str, colors: Iterable[int]) -> JSubordin
 
     Greedy peeling removes designated-color maximal vertices from t, giving
     the witness ideal, and adds addable designated-color vertices, giving
-    the component's top; the loops stop only when none is left, so neither
-    condition is re-checked.  The tests compare both ends with the minimum
-    and maximum of t's color-restricted component in the ideal lattice.
+    the component's top.  The tests compare both ends with the minimum and
+    maximum of t's color-restricted component in the ideal lattice.
+
+    Lemma.  Peeling drops exactly the designated-color vertices of t whose
+    up-set within t is all designated-color, and adding gives the closure
+    of t under designated-color vertices whose lower covers it holds.
+    Dropping a vertex frees only vertices below it, and adding one frees
+    only vertices above it, so a vertex is decided once its upper (lower)
+    covers are: one pass down P's linear extension ``_at`` peels, and one
+    pass up it adds, with nothing left to re-check.
     """
     if il.mode != "ideal":
         raise ValidationError("subordinates are computed on ideal lattices")
     P = il.source
     J = frozenset(colors)
-    t_mask = il._mask(t)
+    r_mask = top_mask = il._mask(t)
     down, up = P._cover_masks
-    color_of = [P.colors[v] for v in P.vertices]
-
-    r_mask = t_mask
-    changed = True
-    while changed:
-        changed = False
-        for i in _bits(r_mask):
-            if color_of[i] in J and up[i] & r_mask == 0:
-                r_mask ^= 1 << i
-                changed = True
-                break
-    top_mask = t_mask
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(P)):
-            if not (top_mask >> i) & 1 and color_of[i] in J and down[i] & top_mask == down[i]:
-                top_mask |= 1 << i
-                changed = True
+    in_J = [P.colors[v] in J for v in P.vertices]
+    for i in reversed(P._at):
+        if r_mask >> i & 1 and in_J[i] and up[i] & r_mask == 0:
+            r_mask ^= 1 << i
+    for i in P._at:
+        if in_J[i] and down[i] & ~top_mask == 0:
+            top_mask |= 1 << i
     q_labels = frozenset(P.vertices[i] for i in _bits(top_mask ^ r_mask))
     r_labels = frozenset(P.vertices[i] for i in _bits(r_mask))
     return JSubordinate(q_labels, P.induced(q_labels), r_labels)

@@ -10,9 +10,11 @@ do the label-level bodies the library replaced with id-level ones: the
 diamond scan, the per-pair BFS distance, the atom-support Boolean test
 the cubic transitive reduction, the two-factor product built pair by
 pair, the triple-by-triple distributivity scan, the r-by-r witness scan
-that the closure-pruned one replaced, the label-level rank BFS, and the
+that the closure-pruned one replaced, the label-level rank BFS, the
 induced cover pairs found by testing every ordered pair of labels, which
-``_induced_ids`` finds as each label's minimal labels above it.
+``_induced_ids`` finds as each label's minimal labels above it, and the
+subordinate peeling that restarts its scan after every change, which
+``subordinate_of`` does in one pass each way along a linear extension.
 Last, the checks of the trusted paths: every structure the library
 builds through ``_from_ids`` is rebuilt through the validating public
 constructor and must come out with the same tables.  The search-based
@@ -778,6 +780,37 @@ def verify_weakening_by_search(P, Q):
     recovery = weak_subposet_from_sublattice_by_search(emb.parent_view, emb.sub_view)
     recovery.report.details["recovered"] = recovery.recovered
     return [agreement, recovery.report]
+
+
+def subordinate_by_restarts(il, t, colors):
+    """``subordinate_of`` with the peeling and the adding each restarting its scan after every change."""
+    if il.mode != "ideal":
+        raise ValidationError("subordinates are computed on ideal lattices")
+    P = il.source
+    J = frozenset(colors)
+    t_mask = il._mask(t)
+    down, up = P._cover_masks
+    color_of = [P.colors[v] for v in P.vertices]
+    r_mask = t_mask
+    changed = True
+    while changed:
+        changed = False
+        for i in _bits(r_mask):
+            if color_of[i] in J and up[i] & r_mask == 0:
+                r_mask ^= 1 << i
+                changed = True
+                break
+    top_mask = t_mask
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(P)):
+            if not (top_mask >> i) & 1 and color_of[i] in J and down[i] & top_mask == down[i]:
+                top_mask |= 1 << i
+                changed = True
+    q_labels = frozenset(P.vertices[i] for i in _bits(top_mask ^ r_mask))
+    r_labels = frozenset(P.vertices[i] for i in _bits(r_mask))
+    return substructure.JSubordinate(q_labels, P.induced(q_labels), r_labels)
 
 
 def verify_subordinate_correspondence_by_search(P, colors):

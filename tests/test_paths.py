@@ -510,6 +510,17 @@ class TestPathColors:
         with pytest.raises(EnumerationCapExceeded, match="^9 comparable pairs exceed cap 8$"):
             verify_path_colors_all(view)
 
+    def test_pairs_come_in_label_scan_order_on_a_wide_lattice(self):
+        """On M_60, declared top first and its atoms shuffled, the reports follow the scan of every
+        ordered pair of labels with ``leq``, not the topological order."""
+        atoms = [f"a{i}" for i in random.Random(5).sample(range(60), 60)]
+        M = EdgeColoredPoset(["top", *atoms, "bot"], [("bot", a, 1) for a in atoms] + [(a, "top", 1) for a in atoms])
+        view = as_lattice(M)
+        expected = [(s, t) for s in M.vertices for t in M.vertices if M.leq(s, t)]
+        reports = verify_path_colors_all(view)
+        assert [(r.s, r.t) for r in reports] == expected and len(expected) == 62 + 61 + 60
+        assert all(r.passed for r in reports)
+
     def test_path_caps_checked_before_any_path(self, monkeypatch):
         # the 8x8 grid: 3432 paths from bottom to top, the one pair past the pair cap
         view = build_J(disjoint_sum(chain_poset(6), chain_poset(6))).view

@@ -12,6 +12,8 @@ from _oracles import (
     check_sublattice_by_pairs,
     induced_cover_pairs,
     j_components_by_pair_bfs,
+    subordinate_by_restarts,
+    weak_subposet_from_sublattice_by_search,
 )
 from corpus import (
     edge_chain,
@@ -222,6 +224,10 @@ class TestWeakening:
         assert len(emb.parent_ideals) >= len(emb.sub_ideals)
 
 
+UNIQUE = "each filter of sublattice elements has a unique minimum"
+IRREDUCIBLE = "those minima are join irreducible in the sublattice"
+
+
 class TestRecovery:
     def test_identity_recovery(self, fig_lattice):
         rec = weak_subposet_from_sublattice(fig_lattice, fig_lattice)
@@ -236,6 +242,31 @@ class TestRecovery:
             )
             assert rec.report.passed
             assert isomorphic(rec.recovered, Q)
+
+    @pytest.mark.parametrize("K_labels, failed", [
+        # two minimal elements lie above a0 (a0.a1 and a0.a2): no unique minimum, so no irreducible one
+        (("empty", "a0.a1", "a0.a2", "a0.a1.a2"), [UNIQUE, IRREDUCIBLE]),
+        # the only element above a2 is the top, which covers two elements of K
+        (("empty", "a0", "a1", "a0.a1.a2"), [IRREDUCIBLE]),
+    ], ids=["no-unique-minimum", "minimum-not-irreducible"])
+    def test_lattice_that_is_no_sublattice_fails_the_recovery(self, monkeypatch, K_labels, failed):
+        """With the sublattice check accepting it, a lattice inside B3 that is no sublattice fails the
+        recovery as the pairwise search does."""
+        bot, left, right, top = K_labels
+        K = EdgeColoredPoset(K_labels, [(bot, left, 1), (bot, right, 2), (left, top, 2), (right, top, 1)])
+        L = boolean_lattice(3)
+        with pytest.raises(NotASublattice):
+            check_sublattice(K, L)
+
+        def accept(K, L):
+            kv, lv = substructure._coerce_view(K), substructure._coerce_view(L)
+            return substructure.SublatticeEmbedding(kv.poset, lv.poset, kv, lv, True, True)
+
+        monkeypatch.setattr(substructure, "check_sublattice", accept)
+        rec = weak_subposet_from_sublattice(L, K)
+        old = weak_subposet_from_sublattice_by_search(L, K)
+        assert rec.report.checks == old.report.checks and rec.report.failures() == failed
+        assert rec.phi == old.phi and rec.recovered == old.recovered
 
     def test_irreducible_counts_match(self):
         for P, Q in weak_subposet_pairs(6, seed=59):
@@ -409,6 +440,16 @@ class TestSubordinates:
                         sub = subordinate_of(il, lab, J)
                         assert sub.witness_ideal == il.members(comp.minimum)
                         assert sub.witness_ideal | sub.vertex_set == il.members(comp.maximum)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 8), st.floats(0.0, 1.0), st.integers(0, 10**6))
+    def test_one_pass_matches_restarts(self, n, p, seed):
+        """The one-pass peeling and adding give the restart loops' subordinate for every element and color set."""
+        P = random_poset(n, p, seed)
+        il = build_J(P)
+        for J in color_subsets([1, 2, 3]):
+            for lab in il.lattice.vertices:
+                assert subordinate_of(il, lab, J) == subordinate_by_restarts(il, lab, J)
 
     def test_deletable_and_addable_sets_are_largest(self, fig_poset):
         """Exhaustive check of the maximality claims behind the subordinate.
