@@ -45,7 +45,7 @@ from .structures import (
     reduce_relation,
 )
 
-DEFINITION_SEARCH_CAP = 12  # most vertices subordinates_by_definition searches
+DEFINITION_SEARCH_CAP = 12  # most vertices of the subord suite's poset: up to 2^12 ideals, each peeled and closed
 
 
 @dataclass
@@ -553,13 +553,12 @@ class JSubordinate:
     witness_ideal: frozenset[str]
 
 
-def subordinate_of(il: IdealLattice, t: str, colors: Iterable[int]) -> JSubordinate:
-    """The subordinate attached to the component of the element labelled t.
+def _subordinate_masks(P: VertexColoredPoset, colors: Iterable[int]) -> Callable[[int], tuple[int, int]]:
+    """The map from an ideal mask t of P to (witness mask r, subordinate mask), read off P once.
 
     Greedy peeling removes designated-color maximal vertices from t, giving
-    the witness ideal, and adds addable designated-color vertices, giving
-    the component's top.  The tests compare both ends with the minimum and
-    maximum of t's color-restricted component in the ideal lattice.
+    r, and adding takes in addable designated-color vertices, giving the
+    component's top; the subordinate is the top minus r.
 
     Lemma.  Peeling drops exactly the designated-color vertices of t whose
     up-set within t is all designated-color, and adding gives the closure
@@ -569,74 +568,71 @@ def subordinate_of(il: IdealLattice, t: str, colors: Iterable[int]) -> JSubordin
     covers are: one pass down P's linear extension ``_at`` peels, and one
     pass up it adds, with nothing left to re-check.
     """
+    down, up = P._cover_masks
+    J = frozenset(colors)
+    rising = [i for i in P._at if P.colors[P.vertices[i]] in J]
+
+    def masks(t: int) -> tuple[int, int]:
+        r = top = t
+        for i in reversed(rising):
+            if r >> i & 1 and up[i] & r == 0:
+                r ^= 1 << i
+        for i in rising:
+            if down[i] & ~top == 0:
+                top |= 1 << i
+        return r, top ^ r
+
+    return masks
+
+
+def subordinate_of(il: IdealLattice, t: str, colors: Iterable[int]) -> JSubordinate:
+    """The subordinate attached to the component of the element labelled t, by ``_subordinate_masks``.
+
+    The tests compare both ends with the minimum and maximum of t's
+    color-restricted component in the ideal lattice.
+    """
     if il.mode != "ideal":
         raise ValidationError("subordinates are computed on ideal lattices")
     P = il.source
-    J = frozenset(colors)
-    r_mask = top_mask = il._mask(t)
-    down, up = P._cover_masks
-    in_J = [P.colors[v] in J for v in P.vertices]
-    for i in reversed(P._at):
-        if r_mask >> i & 1 and in_J[i] and up[i] & r_mask == 0:
-            r_mask ^= 1 << i
-    for i in P._at:
-        if in_J[i] and down[i] & ~top_mask == 0:
-            top_mask |= 1 << i
-    q_labels = frozenset(P.vertices[i] for i in _bits(top_mask ^ r_mask))
-    r_labels = frozenset(P.vertices[i] for i in _bits(r_mask))
-    return JSubordinate(q_labels, P.induced(q_labels), r_labels)
+    r_mask, q_mask = _subordinate_masks(P, colors)(il._mask(t))
+    q_labels = frozenset(P.vertices[i] for i in _bits(q_mask))
+    return JSubordinate(q_labels, P.induced(q_labels), frozenset(P.vertices[i] for i in _bits(r_mask)))
 
 
 def enumerate_subordinates(P: VertexColoredPoset, colors: Iterable[int]) -> list[JSubordinate]:
-    """Distinct subordinates arising from elements of the ideal lattice."""
+    """Distinct subordinates of the ideal lattice's elements, each built on the first element giving it."""
     il = build_J(P)
     J = frozenset(colors)
-    seen: dict[frozenset[str], JSubordinate] = {}
-    for lab in il.lattice.vertices:
-        sub = subordinate_of(il, lab, J)
-        seen.setdefault(sub.vertex_set, sub)
-    return sorted(
-        seen.values(), key=lambda s: (len(s.vertex_set), sorted(P.index_of(v) for v in s.vertex_set))
-    )
+    masks, first = _subordinate_masks(P, J), {}
+    for lab, m in zip(il.lattice.vertices, il.masks):
+        first.setdefault(masks(m)[1], lab)
+    subs = [subordinate_of(il, lab, J) for lab in first.values()]
+    return sorted(subs, key=lambda s: (len(s.vertex_set), sorted(P.index_of(v) for v in s.vertex_set)))
 
 
 def subordinates_by_definition(P: VertexColoredPoset, colors: Iterable[int]) -> set[frozenset[str]]:
-    """Deliberately naive search straight from the definition.
+    """Every vertex set Q the definition admits, capped at ``DEFINITION_SEARCH_CAP`` vertices.
 
-    Enumerates pairs (ideal r, candidate vertex set Q) and keeps Q when: all
-    its colors are designated, it is disjoint from r, r unioned with Q is an
-    ideal, and the boundary (maximal vertices of r, minimal vertices outside
-    the union) avoids the designated colors.  Exponential; capped at
-    ``DEFINITION_SEARCH_CAP`` vertices.
+    The definition pairs an ideal r with designated-color vertices Q
+    outside it such that r u Q is an ideal and the boundary (maximal
+    vertices of r, minimal vertices outside r u Q) avoids those colors.
+
+    Lemma.  Peeling keeps r exactly when r's maximal vertices avoid the
+    designated colors: a vertex it drops has a maximal one above it that
+    it drops too.  Let C be r's closure, the top ``_subordinate_masks``
+    adds up to; then Q = C - r.  Along a linear extension each vertex of Q
+    has its lower covers in r or earlier in Q, so the adding takes it in.
+    The first vertex of C outside r u Q would have its lower covers in r u
+    Q and a designated color, as C adds only such, and break the boundary.
+    Conversely C - r meets every condition: one closure per ideal suffices.
     """
     if len(P) > DEFINITION_SEARCH_CAP:
         raise EnumerationCapExceeded(f"definition search is capped at {DEFINITION_SEARCH_CAP} vertices")
-    J = frozenset(colors)
-    n = len(P)
-    down, up = P._cover_masks
-    color_of = [P.colors[v] for v in P.vertices]
-    found: set[frozenset[str]] = set()
+    masks, found = _subordinate_masks(P, colors), set()
     for r_mask in enumerate_ideal_masks(P):
-        if any(
-            up[i] & r_mask == 0 and color_of[i] in J for i in _bits(r_mask)
-        ):
-            continue  # a maximal vertex of r carries a designated color
-        pool = [i for i in range(n) if not (r_mask >> i) & 1 and color_of[i] in J]
-        for sub_mask in range(1 << len(pool)):
-            q_mask = 0
-            for b in range(len(pool)):
-                if (sub_mask >> b) & 1:
-                    q_mask |= 1 << pool[b]
-            union = r_mask | q_mask
-            if any(down[i] & union != down[i] for i in _bits(q_mask)):
-                continue  # union is not downward closed
-            boundary_ok = True
-            for i in range(n):
-                if not (union >> i) & 1 and down[i] & union == down[i] and color_of[i] in J:
-                    boundary_ok = False
-                    break
-            if boundary_ok:
-                found.add(frozenset(P.vertices[i] for i in _bits(q_mask)))
+        witness, q_mask = masks(r_mask)
+        if witness == r_mask:
+            found.add(frozenset(P.vertices[i] for i in _bits(q_mask)))
     return found
 
 
@@ -655,7 +651,8 @@ def verify_subordinate_correspondence(P: VertexColoredPoset, colors: Iterable[in
     from_definition = subordinates_by_definition(P, J)
     il = build_J(P)
     decomp = j_components(il, J)
-    from_components = {subordinate_of(il, lab, J).vertex_set for lab in il.lattice.vertices}
+    masks = _subordinate_masks(P, J)
+    from_components = {frozenset(P.vertices[i] for i in _bits(q)) for q in {masks(m)[1] for m in il.masks}}
     report.record("component subordinates match the definition search",
                   from_components == from_definition)
 

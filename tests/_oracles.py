@@ -14,7 +14,9 @@ that the closure-pruned one replaced, the label-level rank BFS, the
 induced cover pairs found by testing every ordered pair of labels, which
 ``_induced_ids`` finds as each label's minimal labels above it, and the
 subordinate peeling that restarts its scan after every change, which
-``subordinate_of`` does in one pass each way along a linear extension.
+``subordinate_of`` does in one pass each way along a linear extension,
+and the search over every subset of designated-color vertices outside
+each ideal, which ``subordinates_by_definition`` replaces by one closure.
 Last, the checks of the trusted paths: every structure the library
 builds through ``_from_ids`` is rebuilt through the validating public
 constructor and must come out with the same tables.  The search-based
@@ -42,6 +44,7 @@ from itertools import permutations
 from dclat import (
     DclatError,
     EdgeColoredPoset,
+    EnumerationCapExceeded,
     HypothesisViolated,
     NotALattice,
     NotASublattice,
@@ -813,12 +816,52 @@ def subordinate_by_restarts(il, t, colors):
     return substructure.JSubordinate(q_labels, P.induced(q_labels), r_labels)
 
 
+def subordinates_by_subset_search(P, colors):
+    """Deliberately naive search straight from the definition.
+
+    Enumerates pairs (ideal r, candidate vertex set Q) and keeps Q when: all
+    its colors are designated, it is disjoint from r, r unioned with Q is an
+    ideal, and the boundary (maximal vertices of r, minimal vertices outside
+    the union) avoids the designated colors.  Exponential; capped at
+    ``DEFINITION_SEARCH_CAP`` vertices.
+    """
+    if len(P) > substructure.DEFINITION_SEARCH_CAP:
+        raise EnumerationCapExceeded(f"definition search is capped at {substructure.DEFINITION_SEARCH_CAP} vertices")
+    J = frozenset(colors)
+    n = len(P)
+    down, up = P._cover_masks
+    color_of = [P.colors[v] for v in P.vertices]
+    found = set()
+    for r_mask in birkhoff.enumerate_ideal_masks(P):
+        if any(
+            up[i] & r_mask == 0 and color_of[i] in J for i in _bits(r_mask)
+        ):
+            continue  # a maximal vertex of r carries a designated color
+        pool = [i for i in range(n) if not (r_mask >> i) & 1 and color_of[i] in J]
+        for sub_mask in range(1 << len(pool)):
+            q_mask = 0
+            for b in range(len(pool)):
+                if (sub_mask >> b) & 1:
+                    q_mask |= 1 << pool[b]
+            union = r_mask | q_mask
+            if any(down[i] & union != down[i] for i in _bits(q_mask)):
+                continue  # union is not downward closed
+            boundary_ok = True
+            for i in range(n):
+                if not (union >> i) & 1 and down[i] & union == down[i] and color_of[i] in J:
+                    boundary_ok = False
+                    break
+            if boundary_ok:
+                found.add(frozenset(P.vertices[i] for i in _bits(q_mask)))
+    return found
+
+
 def verify_subordinate_correspondence_by_search(P, colors):
     """Search-based subordinate correspondence: each component compared three ways."""
     s = substructure
     J = frozenset(colors)
     report = Report(f"subordinate correspondence for colors {sorted(J)}")
-    from_definition = s.subordinates_by_definition(P, J)
+    from_definition = subordinates_by_subset_search(P, J)
     il = s.build_J(P)
     decomp = s.j_components(il, J, verify=True)
     from_components = {s.subordinate_of(il, lab, J).vertex_set for lab in il.lattice.vertices}

@@ -65,6 +65,10 @@ class TestBuildJ:
         il = build_J(VertexColoredPoset([], [], {}))
         assert len(il) == 1 and il.lattice.vertices == ("empty",)
 
+    def test_repr_names_mode_and_size(self):
+        assert repr(build_J(antichain_poset(2))) == "IdealLattice(mode='ideal', 4 elements)"
+        assert repr(build_M(chain_poset(2))) == "IdealLattice(mode='filter', 4 elements)"
+
     def test_antichain_gives_boolean(self):
         il = build_J(antichain_poset(3))
         assert len(il) == 8

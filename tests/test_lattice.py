@@ -61,6 +61,9 @@ class TestAsLattice:
         view = as_lattice(edge_chain(3))
         assert view.minimum == "c0" and view.maximum == "c3"
 
+    def test_repr_counts_elements(self):
+        assert repr(as_lattice(edge_chain(3))) == "LatticeView(4 elements)"
+
     def test_fig_lattice_extremes(self, fig_view):
         assert fig_view.minimum == "empty"
         assert fig_view.maximum == "v1.v2.v3.v4.v5.v6"

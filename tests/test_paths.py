@@ -47,7 +47,7 @@ from dclat import (
     verify_path_colors_all,
 )
 from dclat import lattice, paths
-from dclat.paths import _bfs
+from dclat.paths import CheckResult, _bfs
 from dclat.structures import EdgeColoredPoset
 from _oracles import diamond_by_labels, distance_by_pair_bfs, rank_assignments, rank_by_labels
 
@@ -68,6 +68,11 @@ class TestPathBasics:
         path = Path(p, "c1")
         assert path.length == 0 and path.end == "c1"
         assert ascent_descent_counts(path) == {}
+
+    def test_repr_lists_vertices(self):
+        p = boolean_lattice(2)
+        assert repr(Path.from_vertices(p, ["empty", "a0", "a0.a1", "a1"])) == "Path(empty -> a0 -> a0.a1 -> a1)"
+        assert repr(Path(p, "a1")) == "Path(a1)"
 
     def test_ascending_chain_counts(self):
         p = edge_chain(3, (1, 2, 1))
@@ -576,6 +581,28 @@ class TestPathColors:
         )
         with pytest.raises(NotDiamondColored):
             verify_path_colors(as_lattice(p), "bot", "top")
+
+    @pytest.mark.parametrize(
+        "colors, fields",
+        [
+            ((1, 2, 3, 4), {"multiset_ok": False}),
+            ((1, 2, 1, 2), {"incomparable_pairs": 1, "incomparable_ok": False, "comparable_pairs": 1}),
+        ],
+        ids=["multisets-differ", "incomparable-ends-differ"],
+    )
+    def test_each_failure_return_behind_a_planted_diamond_verdict(self, colors, fields):
+        """On a B2 whose diamond check fails but is recorded to pass, the two paths bot -> top
+        reach the multiset return, or pass it and reach the incomparable-ends return."""
+        s_low, s_high, t_low, t_high = colors
+        p = EdgeColoredPoset(
+            ["bot", "s", "t", "top"],
+            [("bot", "s", s_low), ("s", "top", s_high), ("bot", "t", t_low), ("t", "top", t_high)],
+        )
+        assert not check_diamond_colored(p).ok
+        p._verdicts["diamond"] = CheckResult(True, None)
+        report = verify_path_colors(as_lattice(p), "bot", "top")
+        assert report == paths.PathColorReport("bot", "top", 2, (1, 2), **fields)
+        assert not report.passed
 
     def test_nonmodular_rejected(self):
         from dclat import NotModular

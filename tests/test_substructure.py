@@ -13,6 +13,7 @@ from _oracles import (
     induced_cover_pairs,
     j_components_by_pair_bfs,
     subordinate_by_restarts,
+    subordinates_by_subset_search,
     weak_subposet_from_sublattice_by_search,
 )
 from corpus import (
@@ -281,6 +282,11 @@ class TestComponents:
         assert list(color_subsets({3, 1})) == [[], [1], [3], [1, 3]]
         assert list(color_subsets([])) == [[]]
 
+    def test_component_info_repr_and_foreign_equality(self):
+        (comp,) = j_components(build_J(VertexColoredPoset(["a"], [], {"a": 1})), [1]).components
+        assert repr(comp) == "ComponentInfo(('empty', 'a'), minimum='empty', maximum='a')"
+        assert comp.__eq__(comp.labels) is NotImplemented and comp != comp.labels
+
     def test_all_colors_single_component(self, fig_view):
         decomp = j_components(fig_view, fig_view.poset.colors_used)
         assert decomp.sizes() == (15,)
@@ -450,6 +456,22 @@ class TestSubordinates:
         for J in color_subsets([1, 2, 3]):
             for lab in il.lattice.vertices:
                 assert subordinate_of(il, lab, J) == subordinate_by_restarts(il, lab, J)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 9), st.floats(0.0, 1.0), st.integers(0, 10**6))
+    def test_closure_search_and_enumeration_match_oracles(self, n, p, seed):
+        """One closure per ideal finds what the subset search finds, and the enumeration
+        keeps the restart loops' subordinate of the first element giving each vertex set."""
+        P = random_poset(n, p, seed)
+        il = build_J(P)
+        for J in color_subsets([1, 2, 3]):
+            assert subordinates_by_definition(P, J) == subordinates_by_subset_search(P, J)
+            first = {}
+            for lab in il.lattice.vertices:
+                sub = subordinate_by_restarts(il, lab, J)
+                first.setdefault(sub.vertex_set, sub)
+            expected = sorted(first.values(), key=lambda s: (len(s.vertex_set), sorted(map(P.index_of, s.vertex_set))))
+            assert enumerate_subordinates(P, J) == expected
 
     def test_deletable_and_addable_sets_are_largest(self, fig_poset):
         """Exhaustive check of the maximality claims behind the subordinate.
